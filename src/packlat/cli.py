@@ -5,12 +5,14 @@ Reports are JSON on stdout; everything except the single ``volatile``
 field is stable across runs of identical inputs in sequential mode.
 
 Exit codes: 0 = SAT / OK, 10 = UNSAT, 11 = verification violation,
-20 = interrupted, 1 = any error (including usage errors).
+20 = search interrupted and a checkpoint written, 1 = any error
+(including usage errors and a Ctrl-C before the search starts).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -107,12 +109,13 @@ def _grid_from_args(args) -> GridSpec:
     return GridSpec(args.width, args.height, args.k, anchors)
 
 
-def _volatile(t0_wall: float, elapsed: float) -> dict:
+def _volatile(t0_wall: float, elapsed: float, engine: str | None) -> dict:
     return {
         "started_at_unix": t0_wall,
         "elapsed_seconds": elapsed,
         "host": platform.node(),
         "pid": os.getpid(),
+        "engine": engine,
     }
 
 
@@ -187,7 +190,7 @@ def build_report(
         "stats": result.stats.counters(),
         "witness": result.coloring,
         "lower_bound": lower_bound_note(grid) if result.status == UNSAT else None,
-        "volatile": _volatile(t0_wall, result.stats.elapsed),
+        "volatile": _volatile(t0_wall, result.stats.elapsed, result.engine),
     }
     if result.parallel is not None:
         report["parallel"] = {
@@ -220,6 +223,21 @@ def _write_witness(path: str, grid: GridSpec, rows: list[list[int]]) -> None:
         out.write_text(format_coloring_text(rows), encoding="utf-8")
 
 
+def _write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
+    """Replace the checkpoint file atomically: a crash leaves the old or the new."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(json.dumps(checkpoint.to_dict(), sort_keys=True) + "\n")
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def _progress_printer(t0: float):
     def on_progress(nodes: int, frontier: int) -> None:
         elapsed = time.perf_counter() - t0
@@ -240,9 +258,7 @@ def _run_sequential(args, grid: GridSpec, from_checkpoint: Checkpoint | None):
         raise _UsageError("--checkpoint-every needs --checkpoint-file")
 
     def on_checkpoint(cp: Checkpoint) -> None:
-        Path(checkpoint_file).write_text(
-            json.dumps(cp.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_checkpoint(checkpoint_file, cp)
 
     flag = {"hit": False}
 
@@ -296,10 +312,7 @@ def cmd_solve(args) -> int:
         result = _run_sequential(args, grid, from_checkpoint=None)
         if result.status == INTERRUPTED:
             path = args.checkpoint_file or "packlat-interrupted.checkpoint.json"
-            Path(path).write_text(
-                json.dumps(result.checkpoint.to_dict(), sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            _write_checkpoint(path, result.checkpoint)
             extra["checkpoint_file"] = path
     if result.coloring is not None and args.witness_file:
         _write_witness(args.witness_file, grid, result.coloring)
@@ -323,10 +336,7 @@ def cmd_resume(args) -> int:
     extra: dict = {}
     if result.status == INTERRUPTED:
         path = args.checkpoint_file or args.checkpoint
-        Path(path).write_text(
-            json.dumps(result.checkpoint.to_dict(), sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_checkpoint(path, result.checkpoint)
         extra["checkpoint_file"] = path
     if result.coloring is not None and args.witness_file:
         _write_witness(args.witness_file, grid, result.coloring)
@@ -595,6 +605,10 @@ def main(argv=None) -> int:
         return 1
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"packlat: error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # a running search catches SIGINT itself and exits 20 with a checkpoint
+        print("packlat: interrupted before the search started", file=sys.stderr)
         return 1
 
 

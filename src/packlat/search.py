@@ -16,18 +16,24 @@ Counters, and what they mean here:
 * ``calls``   arrivals at a non-anchor cell with a fresh color loop
               (the recursion depth events of the classic formulation).
 
-The fast path keeps all forbidden-color bitsets in one big integer and
-journals one delta per assignment; the naive path rescans distance balls
-on every test. Both traverse the identical tree.
+The fast path is a compiled C kernel (``_kernel.c``, built with the
+local C compiler and loaded through ``ctypes``) that keeps one
+forbidden-color word per free cell and journals the cells each
+assignment newly forbade. Where it cannot be built, or ``max_color``
+exceeds its word, the same masks live in one big Python integer with one
+journaled delta per assignment. The naive path rescans distance balls on
+every test. All three traverse the identical tree.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 import time
+import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from pathlib import Path
 
 from packlat.coloring import verify
 from packlat.errors import (
@@ -169,66 +175,112 @@ class SolveResult:
     stats: SearchStats
     checkpoint: Checkpoint | None = None
     parallel: ParallelInfo | None = None
+    engine: str | None = None  # the route that ran: "c", "python" or "naive"
 
 
 class _Tables:
-    """Precomputed per-grid search tables; immutable once built."""
+    """Per-grid search tables; each route's tables are built on first use."""
 
     def __init__(self, grid: GridSpec):
-        w, h, k = grid.width, grid.height, grid.max_color
+        self.grid = grid
         n = grid.n_cells
         anchor_at = [0] * n
         for pos, color in grid.anchors:
             anchor_at[grid.index_of(pos)] = color
         self.free: tuple[int, ...] = tuple(i for i in range(n) if not anchor_at[i])
-        fpos = {cell: p for p, cell in enumerate(self.free)}
-        self.k = k
-        self.full_mask = (1 << k) - 1
+        self.k = grid.max_color
+        self.full_mask = (1 << self.k) - 1
         self.anchor_at = tuple(anchor_at)
 
-        def cell_distance(a: int, b: int) -> int:
-            return abs(a % w - b % w) + abs(a // w - b // w)
+    def _distance(self, a: int, b: int) -> int:
+        w = self.grid.width
+        return abs(a % w - b % w) + abs(a // w - b // w)
 
-        # Mask path: when the p-th free cell takes color c, forbid c at every
-        # later free cell within distance c. Earlier cells are already
-        # colored, so the forward half of the ball suffices.
-        patterns: list[tuple[int, ...]] = []
-        for p, cell in enumerate(self.free):
+    @cached_property
+    def init_rows(self) -> tuple[int, ...]:
+        """Colors the anchors forbid at each free cell, bit c-1 for color c."""
+        rows = [0] * len(self.free)
+        for acell, ac in enumerate(self.anchor_at):
+            if ac:
+                for p, cell in enumerate(self.free):
+                    if self._distance(acell, cell) <= ac:
+                        rows[p] |= 1 << (ac - 1)
+        return tuple(rows)
+
+    @cached_property
+    def init_mask(self) -> int:
+        k = self.k
+        return sum(row << (p * k) for p, row in enumerate(self.init_rows))
+
+    @cached_property
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        """Mask route: when the p-th free cell takes color c, the bits of c
+        at every later free cell within distance c. Earlier cells are
+        already colored, so the forward half of the ball suffices."""
+        k, free = self.k, self.free
+        patterns = []
+        for p, cell in enumerate(free):
             per_color = []
             for c in range(1, k + 1):
                 pat = 0
-                for q in range(p + 1, len(self.free)):
-                    if cell_distance(cell, self.free[q]) <= c:
+                for q in range(p + 1, len(free)):
+                    if self._distance(cell, free[q]) <= c:
                         pat |= 1 << (q * k + (c - 1))
                 per_color.append(pat)
             patterns.append(tuple(per_color))
-        self.patterns: tuple[tuple[int, ...], ...] = tuple(patterns)
+        return tuple(patterns)
 
-        init_mask = 0
-        for acell in range(n):
-            ac = anchor_at[acell]
-            if not ac:
-                continue
-            for p, cell in enumerate(self.free):
-                if cell_distance(acell, cell) <= ac:
-                    init_mask |= 1 << (p * k + (ac - 1))
-        self.init_mask = init_mask
-
-        # Naive path: per (free cell, color), the cells that can already be
-        # colored when that cell is the frontier: earlier free cells plus
-        # anchors anywhere, within distance c.
-        naive_scan: list[tuple[tuple[int, ...], ...]] = []
-        for p, cell in enumerate(self.free):
+    @cached_property
+    def naive_scan(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Naive route: per (free cell, color), the cells that can already be
+        colored when that cell is the frontier: earlier free cells plus
+        anchors anywhere, within distance c."""
+        anchor_at, free = self.anchor_at, self.free
+        fpos = {cell: p for p, cell in enumerate(free)}
+        naive_scan = []
+        for p, cell in enumerate(free):
             per_color = []
-            for c in range(1, k + 1):
+            for c in range(1, self.k + 1):
                 candidates = [
-                    q for q in range(n)
-                    if q != cell and cell_distance(cell, q) <= c
-                    and (anchor_at[q] or (not anchor_at[q] and fpos[q] < p))
+                    q for q in range(len(anchor_at))
+                    if q != cell and self._distance(cell, q) <= c
+                    and (anchor_at[q] or fpos[q] < p)
                 ]
                 per_color.append(tuple(candidates))
             naive_scan.append(tuple(per_color))
-        self.naive_scan = tuple(naive_scan)
+        return tuple(naive_scan)
+
+    @cached_property
+    def csr(self):
+        """Kernel route: the mask route's forward balls as flat int32 arrays.
+
+        Free cell p's later free cells within distance c are
+        ``nbr[row[p] : row[p] + cnt[p * k + c - 1]]``, built from the
+        window geometry ring by ring, so each ball extends the previous.
+        """
+        import ctypes
+
+        w, h, k = self.grid.width, self.grid.height, self.k
+        fpos = {cell: p for p, cell in enumerate(self.free)}
+        rings = [
+            [(dr, dc) for dr in range(d + 1) for dc in sorted({d - dr, dr - d})
+             if dr or dc > 0]  # later in scan order
+            for d in range(1, k + 1)
+        ]
+        row: list[int] = []
+        cnt: list[int] = []
+        nbr: list[int] = []
+        for cell in self.free:
+            r0, c0 = divmod(cell, w)
+            row.append(len(nbr))
+            for ring in rings:
+                for dr, dc in ring:
+                    r, c = r0 + dr, c0 + dc
+                    if r < h and 0 <= c < w and r * w + c in fpos:
+                        nbr.append(fpos[r * w + c])
+                cnt.append(len(nbr) - row[-1])
+        i32 = ctypes.c_int32
+        return (i32 * len(row))(*row), (i32 * len(cnt))(*cnt), (i32 * len(nbr))(*nbr)
 
     def frontier_cells(self, free_pos: int) -> int:
         """Length of the colored scan prefix once free_pos cells are assigned."""
@@ -242,12 +294,94 @@ def _tables(grid: GridSpec) -> _Tables:
     return _Tables(grid)
 
 
+_KERNEL_COLORS = 32  # width of the compiled kernel's forbidden-color word
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_CACHE = "~/.cache/packlat"
+_KERNEL_CC = ("cc", "-O2", "-shared", "-fPIC")
+
+
+def _crc(data: bytes) -> str:
+    # zlib is loaded at startup anyway; hashlib would map OpenSSL (3 MB, 4 ms)
+    return f"{zlib.crc32(data):08x}"
+
+
+def _kernel_key() -> str:
+    """CRC-32 of the kernel source and the command that compiles it."""
+    return _crc(_KERNEL_SOURCE.read_bytes() + "\0".join(_KERNEL_CC).encode())
+
+
+def _build_kernel(cache: Path, key: str) -> Path:
+    """Compile the kernel into the cache, published with one ``os.replace``.
+
+    The file name carries a CRC-32 of the library's own bytes, so a
+    damaged copy is recognised before it is loaded.
+    """
+    import subprocess
+    import tempfile
+
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"kernel-{key}-", suffix=".tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([*_KERNEL_CC, "-o", tmp, str(_KERNEL_SOURCE)],
+                              capture_output=True)
+        if proc.returncode != 0:
+            raise OSError(f"{_KERNEL_CC[0]} exited {proc.returncode}")
+        target = cache / f"kernel-{key}-{_crc(Path(tmp).read_bytes())}.so"
+        os.replace(tmp, target)
+        return target
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+@lru_cache(maxsize=None)
+def _load_kernel():
+    """The compiled slice function, or None when it cannot be built or loaded.
+
+    The library is built once per CRC-32 of its source and compiler
+    command in ``~/.cache/packlat``. Without a working compiler, or with a
+    damaged cached library, the engine runs on the Python mask route
+    instead.
+    """
+    try:
+        cache = Path(_KERNEL_CACHE).expanduser()
+        key = _kernel_key()
+        found = sorted(cache.glob(f"kernel-{key}-*.so"))
+        lib = found[0] if found else _build_kernel(cache, key)
+        if lib.name != f"kernel-{key}-{_crc(lib.read_bytes())}.so":
+            return None
+        import ctypes
+
+        fn = ctypes.CDLL(str(lib)).packlat_slice
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    i32, i64, p32 = ctypes.c_int32, ctypes.c_int64, ctypes.POINTER(ctypes.c_int32)
+    fn.argtypes = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32),
+                   p32, p32, p32, ctypes.POINTER(i64), i32, i64)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_NEVER = 1 << 62  # a node count no run reaches
+_SLICE_STATUS = (None, SAT, UNSAT)  # the kernel's return codes
+
+
 class _Engine:
-    """Single-owner mutable search state; one engine per run."""
+    """Single-owner mutable search state; one engine per run.
+
+    ``route`` is "c" (the compiled kernel), "python" (the same forbidden
+    masks in one big integer, used when the kernel is unavailable or
+    ``max_color`` exceeds its word) or "naive" (ball rescans, for
+    differential runs). Every route runs the tree in slices with one
+    contract: a slice returns None right after the assignment that brings
+    ``nodes`` to ``limit``, SAT when every cell is colored, and UNSAT when
+    the cell at ``floor`` runs out of colors. ``run`` handles all events
+    between slices.
+    """
 
     def __init__(self, grid: GridSpec, naive: bool = False):
         self.grid = grid
-        self.naive = naive
         self.tables = _tables(grid)
         self.k = grid.max_color
         self.n_free = len(self.tables.free)
@@ -258,11 +392,29 @@ class _Engine:
         self.tests = 0
         self.calls = 0
         self.max_pos = 0
-        self.mask = self.tables.init_mask
-        self.journal: list[int] = []
-        self.cell_colors: list[int] | None = None
+        kernel = None if naive or self.k > _KERNEL_COLORS else _load_kernel()
         if naive:
+            self.route = "naive"
             self.cell_colors = list(self.tables.anchor_at)
+            self._place, self._slice = self._place_naive, self._slice_naive
+        elif kernel is not None:
+            import ctypes
+
+            n = self.n_free
+            self.route = "c"
+            self._kernel = kernel
+            self._csr = self.tables.csr
+            self._forb = (ctypes.c_uint32 * n)(*self.tables.init_rows)
+            self._cbranch = (ctypes.c_int32 * n)()
+            self._jtop = (ctypes.c_int32 * (n + 1))()
+            self._journal = (ctypes.c_int32 * len(self._csr[2]))()
+            self._state = (ctypes.c_int64 * 6)()  # as _slice_c packs it
+            self._place, self._slice = self._place_c, self._slice_c
+        else:
+            self.route = "python"
+            self.mask = self.tables.init_mask
+            self.journal: list[int] = []
+            self._place, self._slice = self._place_python, self._slice_python
 
     def replay(self, decisions, error_cls) -> None:
         """Re-apply a decision sequence without counting any work.
@@ -279,25 +431,43 @@ class _Engine:
         for color in decisions:
             if not 1 <= color <= k:
                 raise error_cls(f"decision color {color} outside 1..{k}")
-            if self.naive:
-                cell = self.tables.free[self.pos]
-                for q in self.tables.naive_scan[self.pos][color - 1]:
-                    if self.cell_colors[q] == color:
-                        raise error_cls(
-                            f"decision {self.pos} (color {color}) is inadmissible"
-                        )
-                self.cell_colors[cell] = color
-            else:
-                if (self.mask >> (self.pos * k + color - 1)) & 1:
-                    raise error_cls(
-                        f"decision {self.pos} (color {color}) is inadmissible"
-                    )
-                newly = self.tables.patterns[self.pos][color - 1] & ~self.mask
-                self.mask |= newly
-                self.journal.append(newly)
+            if not self._place(color):
+                raise error_cls(
+                    f"decision {self.pos} (color {color}) is inadmissible"
+                )
             self.branch.append(color)
             self.pos += 1
         self.max_pos = max(self.max_pos, self.pos)
+
+    def _place_naive(self, color: int) -> bool:
+        colors = self.cell_colors
+        if any(colors[q] == color for q in self.tables.naive_scan[self.pos][color - 1]):
+            return False
+        colors[self.tables.free[self.pos]] = color
+        return True
+
+    def _place_python(self, color: int) -> bool:
+        if (self.mask >> (self.pos * self.k + color - 1)) & 1:
+            return False
+        newly = self.tables.patterns[self.pos][color - 1] & ~self.mask
+        self.mask |= newly
+        self.journal.append(newly)
+        return True
+
+    def _place_c(self, color: int) -> bool:
+        p, forb, bit = self.pos, self._forb, 1 << (color - 1)
+        if forb[p] & bit:
+            return False
+        row, cnt, nbr = self._csr
+        top = self._jtop[p]
+        for q in nbr[row[p]:row[p] + cnt[p * self.k + color - 1]]:
+            if not forb[q] & bit:
+                forb[q] |= bit
+                self._journal[top] = q
+                top += 1
+        self._jtop[p + 1] = top
+        self._cbranch[p] = color
+        return True
 
     def coloring_rows(self) -> list[list[int]]:
         colors = list(self.tables.anchor_at)
@@ -319,34 +489,50 @@ class _Engine:
         on_progress=None,
         interrupted=None,
     ) -> str:
-        if self.naive:
-            return self._run_naive(
-                floor, suspend_at, checkpoint_every, on_checkpoint,
-                progress_every, on_progress, interrupted,
-            )
-        return self._run_mask(
-            floor, suspend_at, checkpoint_every, on_checkpoint,
-            progress_every, on_progress, interrupted,
-        )
-
-    def _next_events(self, suspend_at, checkpoint_every, progress_every, interrupted):
-        inf = math.inf
         nodes = self.nodes
-        stop_at = suspend_at if suspend_at is not None else inf
-        next_poll = nodes + _INTERRUPT_POLL if interrupted is not None else inf
+        stop_at = _NEVER if suspend_at is None else suspend_at
+        next_poll = nodes + _INTERRUPT_POLL if interrupted is not None else _NEVER
         next_progress = (
-            (nodes // progress_every + 1) * progress_every if progress_every else inf
+            (nodes // progress_every + 1) * progress_every if progress_every else _NEVER
         )
         next_checkpoint = (
             (nodes // checkpoint_every + 1) * checkpoint_every
-            if checkpoint_every else inf
+            if checkpoint_every else _NEVER
         )
-        return stop_at, next_poll, next_progress, next_checkpoint
+        if self.pos < self.n_free:
+            self.calls += 1
+        while True:
+            status = self._slice(
+                floor, min(stop_at, next_poll, next_progress, next_checkpoint)
+            )
+            if status is not None:
+                return status
+            nodes = self.nodes
+            if nodes >= stop_at:
+                return INTERRUPTED
+            if nodes >= next_poll:
+                if interrupted():
+                    return INTERRUPTED
+                next_poll = nodes + _INTERRUPT_POLL
+            if nodes >= next_progress:
+                on_progress(nodes, self.tables.frontier_cells(self.pos))
+                next_progress += progress_every
+            if nodes >= next_checkpoint:
+                on_checkpoint(Checkpoint(self.grid, tuple(self.branch), nodes))
+                next_checkpoint += checkpoint_every
 
-    def _run_mask(
-        self, floor, suspend_at, checkpoint_every, on_checkpoint,
-        progress_every, on_progress, interrupted,
-    ) -> str:
+    def _slice_c(self, floor: int, limit: int) -> str | None:
+        st = self._state
+        st[:] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos)
+        code = self._kernel(
+            self.n_free, self.k, *self._csr, self._forb, self._cbranch,
+            self._jtop, self._journal, st, floor, min(limit, _NEVER),
+        )
+        self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos = st
+        self.branch[:] = self._cbranch[:self.pos]
+        return _SLICE_STATUS[code]
+
+    def _slice_python(self, floor: int, limit: int) -> str | None:
         k = self.k
         full = self.tables.full_mask
         patterns = self.tables.patterns
@@ -362,14 +548,7 @@ class _Engine:
         max_pos = self.max_pos
         shift = pos * k
 
-        stop_at, next_poll, next_progress, next_checkpoint = self._next_events(
-            suspend_at, checkpoint_every, progress_every, interrupted
-        )
-        next_event = min(stop_at, next_poll, next_progress, next_checkpoint)
-
         status = None
-        if pos < n:
-            calls += 1
         while True:
             if pos == n:
                 status = SAT
@@ -391,24 +570,8 @@ class _Engine:
                     max_pos = pos
                 if pos < n:
                     calls += 1
-                if nodes >= next_event:
-                    if nodes >= stop_at:
-                        status = INTERRUPTED
-                        break
-                    if nodes >= next_poll:
-                        if interrupted():
-                            status = INTERRUPTED
-                            break
-                        next_poll = nodes + _INTERRUPT_POLL
-                    if nodes >= next_progress:
-                        on_progress(nodes, self.tables.frontier_cells(pos))
-                        next_progress += progress_every
-                    if nodes >= next_checkpoint:
-                        on_checkpoint(Checkpoint(self.grid, tuple(branch), nodes))
-                        next_checkpoint += checkpoint_every
-                    next_event = min(
-                        stop_at, next_poll, next_progress, next_checkpoint
-                    )
+                if nodes >= limit:
+                    break
             else:
                 tests += k - start + 1
                 if pos == floor:
@@ -429,10 +592,7 @@ class _Engine:
         self.max_pos = max_pos
         return status
 
-    def _run_naive(
-        self, floor, suspend_at, checkpoint_every, on_checkpoint,
-        progress_every, on_progress, interrupted,
-    ) -> str:
+    def _slice_naive(self, floor: int, limit: int) -> str | None:
         k = self.k
         n = self.n_free
         scan = self.tables.naive_scan
@@ -446,14 +606,7 @@ class _Engine:
         calls = self.calls
         max_pos = self.max_pos
 
-        stop_at, next_poll, next_progress, next_checkpoint = self._next_events(
-            suspend_at, checkpoint_every, progress_every, interrupted
-        )
-        next_event = min(stop_at, next_poll, next_progress, next_checkpoint)
-
         status = None
-        if pos < n:
-            calls += 1
         while True:
             if pos == n:
                 status = SAT
@@ -482,24 +635,8 @@ class _Engine:
                     max_pos = pos
                 if pos < n:
                     calls += 1
-                if nodes >= next_event:
-                    if nodes >= stop_at:
-                        status = INTERRUPTED
-                        break
-                    if nodes >= next_poll:
-                        if interrupted():
-                            status = INTERRUPTED
-                            break
-                        next_poll = nodes + _INTERRUPT_POLL
-                    if nodes >= next_progress:
-                        on_progress(nodes, self.tables.frontier_cells(pos))
-                        next_progress += progress_every
-                    if nodes >= next_checkpoint:
-                        on_checkpoint(Checkpoint(self.grid, tuple(branch), nodes))
-                        next_checkpoint += checkpoint_every
-                    next_event = min(
-                        stop_at, next_poll, next_progress, next_checkpoint
-                    )
+                if nodes >= limit:
+                    break
             else:
                 if pos == floor:
                     status = UNSAT
@@ -537,7 +674,7 @@ def _finish(engine: _Engine, status: str, t0: float) -> SolveResult:
     elif status == INTERRUPTED:
         checkpoint = Checkpoint(engine.grid, tuple(engine.branch), engine.nodes)
     return SolveResult(status=status, coloring=coloring, stats=stats,
-                       checkpoint=checkpoint)
+                       checkpoint=checkpoint, engine=engine.route)
 
 
 def solve(
@@ -697,6 +834,7 @@ class UnitOutcome:
     tests: int = 0
     calls: int = 0
     max_depth: int = 0
+    engine: str | None = None
 
 
 def merge_outcomes(
@@ -747,6 +885,7 @@ def _unit_worker(unit: WorkUnit) -> UnitOutcome:
         tests=result.stats.tests,
         calls=result.stats.calls,
         max_depth=result.stats.max_depth,
+        engine=result.engine,
     )
 
 
@@ -794,6 +933,7 @@ def solve_parallel(
                 early_hit = True
                 break
     else:
+        _load_kernel()  # build or load once here, not in every worker
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=workers) as pool:
             if early_exit:
@@ -839,4 +979,6 @@ def solve_parallel(
         early_exit=early_exit,
         workers=workers,
     )
-    return SolveResult(status=status, coloring=coloring, stats=stats, parallel=info)
+    engine = "+".join(sorted({o.engine for o in outcomes})) or None
+    return SolveResult(status=status, coloring=coloring, stats=stats,
+                       parallel=info, engine=engine)

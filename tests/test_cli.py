@@ -281,6 +281,27 @@ def test_rolling_checkpoint_then_resume_matches_one_shot(capsys, tmp_path):
     assert resumed["status"] == one_shot["status"]
 
 
+def test_failed_checkpoint_replace_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    from packlat import cli, search
+
+    search._load_kernel()  # a cold kernel build must not meet the broken replace
+    cp_path = tmp_path / "run.checkpoint.json"
+    cp_path.write_text("old checkpoint\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, _, err = run(
+        capsys, "solve", "--width", "4", "--height", "4", "--k", "4",
+        "--checkpoint-every", "50", "--checkpoint-file", str(cp_path),
+    )
+    assert code == 1
+    assert "disk full" in err and "Traceback" not in err
+    assert cp_path.read_text() == "old checkpoint\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cp_path.name]
+
+
 def test_checkpoint_every_requires_file(capsys):
     code, _, err = run(
         capsys, "solve", "--width", "3", "--height", "3", "--k", "3",
@@ -403,6 +424,75 @@ def test_progress_lines_go_to_stderr(capsys):
     assert code == 0
     assert "nodes=50" in err
     assert "rate=" in err
+
+
+def test_ctrl_c_before_the_search_exits_one_without_traceback(capsys, monkeypatch):
+    from packlat import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_grid_from_args", interrupted)
+    code, out, err = run(capsys, "solve", "--width", "3", "--height", "3", "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "packlat: interrupted before the search started\n"
+
+
+def test_report_names_the_engine_only_in_volatile(capsys):
+    import shutil
+
+    argv = ["solve", "--width", "9", "--height", "7", "--k", "6", "--anchor", "5,4,4"]
+    reports = [report_of(run(capsys, *argv)[1]) for _ in range(2)]
+    fast = "c" if shutil.which("cc") else "python"
+    assert [r["volatile"]["engine"] for r in reports] == [fast, fast]
+    assert stable(reports[0]) == stable(reports[1])
+    naive = run(capsys, "solve", "--width", "3", "--height", "3", "--k", "4", "--naive-check")
+    assert report_of(naive[1])["volatile"]["engine"] == "naive"
+
+
+def test_only_search_commands_load_the_kernel(capsys, tmp_path):
+    # short commands pay no ctypes import or kernel load at startup
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import packlat
+
+    grid = ["--width", "2", "--height", "2", "--k", "3"]
+    assert run(capsys, "split", *grid, "--split-depth", "1",
+               "--out-dir", str(tmp_path / "units"))[0] == 0
+    reports = []
+    for unit in sorted((tmp_path / "units").glob("unit_*.json")):
+        reports.append(tmp_path / f"report_{unit.stem}.json")
+        reports[-1].write_text(run(capsys, "solve-unit", str(unit))[1])
+    (tmp_path / "w.txt").write_text("1 2\n3 1\n")
+    commands = [
+        ["chi", "--width", "2", "--height", "2"],
+        ["split", *grid, "--split-depth", "1", "--out-dir", "again"],
+        ["verify", "w.txt", *grid],
+        ["render", "w.txt", *grid, "--format", "svg"],
+        ["merge", "units/split.json", *map(str, reports)],
+        ["solve", *grid],
+    ]
+    script = (
+        "import sys\n"
+        "from packlat.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    main(argv)\n"
+        "    print('ctypes' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(packlat.__file__).resolve().parent.parent), env.get("PYTHONPATH"),
+    ]))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, timeout=60, cwd=tmp_path, env=env)
+    assert child.returncode == 0, child.stderr
+    kernel_loaded = str(shutil.which("cc") is not None)  # solve is the control
+    assert child.stderr.split() == ["False"] * 5 + [kernel_loaded]
 
 
 def test_early_exit_parallel_cli(capsys):

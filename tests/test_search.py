@@ -1,10 +1,14 @@
 """Solver behavior: node accounting, splitting, checkpoints, determinism."""
 
 import itertools
+import json
 import random
+import shutil
 
 import pytest
 
+from packlat import search
+from packlat.cli import main
 from packlat.coloring import verify
 from packlat.errors import CorruptCheckpoint, CorruptUnit, VersionMismatch
 from packlat.grid import GridSpec, Position, distance
@@ -343,3 +347,166 @@ def test_parallel_early_exit_flags_counts_unreproducible():
     assert result.status == SAT
     assert not result.parallel.count_reproducible
     assert verify(GridSpec(2, 2, 3), result.coloring) is None
+
+
+# --- engine routes: compiled kernel, Python masks, naive rescans -------------
+
+ROUTES = ("c", "python", "naive")
+SWEEP = [GridSpec(w, h, k) for w in range(1, 5) for h in range(1, 5) for k in range(1, 6)]
+ANCHORED_9X7 = GridSpec(9, 7, 6, anchors=((Position(5, 4), 4),))
+PINNED_9X7 = {"nodes": 1_378_337, "tests": 8_270_028, "calls": 1_378_338, "max_depth": 30}
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def on_route(route, fn, *args, **kwargs):
+    """Call a search entry point with the engine held to one route."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "python":
+            mp.setattr(search, "_load_kernel", lambda: None)
+        result = fn(*args, naive=route == "naive", **kwargs)
+    assert result.engine == route
+    return result
+
+
+def outcome(result):
+    return result.status, result.stats.counters(), result.coloring
+
+
+@needs_cc
+def test_three_routes_agree_on_counters_and_witness():
+    for grid in SWEEP:
+        results = [on_route(route, solve, grid) for route in ROUTES]
+        assert outcome(results[0]) == outcome(results[1]) == outcome(results[2]), grid
+
+
+@needs_cc
+def test_three_routes_reproduce_the_anchored_9x7_pins():
+    for route in ROUTES:
+        result = on_route(route, solve, ANCHORED_9X7)
+        assert result.status == UNSAT
+        assert result.stats.counters() == PINNED_9X7, route
+
+
+def chain(route, grid, stride):
+    """Suspend every ``stride`` nodes and resume from the JSON checkpoint."""
+    hops = []
+    result = on_route(route, solve, grid, suspend_at=stride)
+    while result.status == INTERRUPTED:
+        checkpoint = Checkpoint.from_dict(result.checkpoint.to_dict())
+        hops.append((checkpoint.nodes, checkpoint.branch, result.stats.counters()))
+        result = on_route(route, resume, checkpoint, suspend_at=checkpoint.nodes + stride)
+    return hops, result
+
+
+def rolling(route, grid, every):
+    seen = []
+    on_route(route, solve, grid, checkpoint_every=every, on_checkpoint=seen.append)
+    return [(cp.nodes, cp.branch) for cp in seen]
+
+
+@needs_cc
+@pytest.mark.parametrize("stride", [1, 5, 97])
+def test_kernel_chains_match_python_route_at_every_hop(stride):
+    for grid in SWEEP:
+        one_shot = solve(grid)
+        hops, final = chain("c", grid, stride)
+        py_hops, py_final = chain("python", grid, stride)
+        assert (final.status, final.stats.nodes, final.coloring) == (
+            one_shot.status, one_shot.stats.nodes, one_shot.coloring,
+        ), grid
+        assert (hops, outcome(final)) == (py_hops, outcome(py_final)), grid
+        assert rolling("c", grid, stride) == rolling("python", grid, stride), grid
+
+
+@needs_cc
+def test_kernel_chain_on_anchored_9x7_matches_python_route():
+    stride = 65_536
+    hops, final = chain("c", ANCHORED_9X7, stride)
+    assert (final.status, final.stats.nodes) == (UNSAT, PINNED_9X7["nodes"])
+    assert len(hops) == PINNED_9X7["nodes"] // stride
+    assert [h[:2] for h in hops] == rolling("python", ANCHORED_9X7, stride)
+
+
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "python", "naive"])
+def test_tampered_checkpoint_is_rejected_on_every_route(route):
+    grid = GridSpec(4, 4, 4)
+    good = on_route(route, solve, grid, suspend_at=50).checkpoint.to_dict()
+    for branch in ([1, 1], [5], good["branch"] + [1] * 16):
+        data = dict(good, branch=branch)
+        with pytest.raises(CorruptCheckpoint):
+            on_route(route, resume, Checkpoint.from_dict(data))
+    assert on_route(route, resume, Checkpoint.from_dict(good)).status == UNSAT
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache, so no test touches the real one."""
+    monkeypatch.setattr(search, "_KERNEL_CACHE", str(tmp_path))
+    search._load_kernel.cache_clear()
+    yield tmp_path
+    search._load_kernel.cache_clear()
+
+
+@needs_cc
+def test_kernel_is_built_once_into_the_cache(kernel_cache):
+    assert solve(GridSpec(3, 3, 3)).engine == "c"
+    built = sorted(kernel_cache.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    search._load_kernel.cache_clear()
+    assert solve(GridSpec(3, 3, 3)).engine == "c"
+    assert sorted(kernel_cache.iterdir()) == built
+
+
+def assert_cli_runs_on_python(capfd):
+    """``packlat solve`` reports the Python route, exact counters, a clean stderr."""
+    code = main(["solve", "--width", "4", "--height", "4", "--k", "4"])
+    out, err = capfd.readouterr()  # file descriptors: a compiler's output shows too
+    assert (code, err) == (10, "")
+    report = json.loads(out)
+    assert report["volatile"]["engine"] == "python"
+    assert report["stats"] == solve(GridSpec(4, 4, 4), naive=True).stats.counters()
+
+
+@pytest.mark.parametrize("compiler", ["packlat-no-such-compiler", "false"])
+def test_missing_or_failing_compiler_falls_back_to_python(
+    kernel_cache, monkeypatch, capfd, compiler,
+):
+    monkeypatch.setattr(search, "_KERNEL_CC", (compiler,))
+    assert_cli_runs_on_python(capfd)
+    assert list(kernel_cache.iterdir()) == []  # no half-built file left behind
+
+
+@needs_cc
+def test_truncated_cached_kernel_falls_back_to_python(kernel_cache, capfd):
+    lib = search._build_kernel(kernel_cache, search._kernel_key())
+    lib.write_bytes(lib.read_bytes()[: lib.stat().st_size // 2])
+    assert_cli_runs_on_python(capfd)
+
+
+def test_colors_wider_than_the_kernel_word_run_on_python():
+    grid = GridSpec(2, 2, search._KERNEL_COLORS + 1)
+    result = solve(grid)
+    assert result.engine == "python"
+    assert outcome(result) == outcome(solve(grid, naive=True))
+
+
+@needs_cc
+def test_kernel_backtracks_past_the_top_bit_of_its_word():
+    # only color 32 fits the first cell and nothing fits the second, so
+    # the search must leave the first cell with every color tried
+    grid = GridSpec(1, 2, search._KERNEL_COLORS)
+    counters = {}
+    for route in ("c", "python"):
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "python":
+                mp.setattr(search, "_load_kernel", lambda: None)
+            engine = search._Engine(grid)
+        assert engine.route == route
+        if route == "c":
+            engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
+        else:
+            engine.mask = 0xFFFFFFFF_7FFFFFFF
+        assert engine.run(suspend_at=10) == UNSAT  # a wrapped shift loops
+        counters[route] = (engine.nodes, engine.tests, engine.calls, engine.max_pos)
+    assert counters["c"] == counters["python"] == (1, 64, 2, 1)
