@@ -12,7 +12,7 @@ Equivalent CLI calls:
 """
 
 from packlat import GridSpec, enumerate_feasible, packing_chromatic_number, solve, verify
-from packlat.render import render_ascii
+from packlat.coloring import format_coloring_text
 
 WINDOWS = [(1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 3)]
 
@@ -36,7 +36,7 @@ def main() -> None:
         print(f"  budget {chi}: witness found in {result.stats.nodes} nodes, "
               f"verifier accepts")
         print("\n".join("    " + line
-                        for line in render_ascii(result.coloring).splitlines()))
+                        for line in format_coloring_text(result.coloring).splitlines()))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ was reported at 43,112,312,093,324 checked configurations and months of
 single-core time, so this script does NOT run it by default; it prints
 the launch recipe and, for a taste of the shape, runs the 9x7 scaled
 variant used by the acceptance suite (under a second on the compiled
-kernel, about half a minute on the Python fallback).
+kernel, under a minute on the naive fallback).
 
 Pass --really to start the actual 15x9 run in-process (days of CPU time;
 use the CLI form below instead if you want checkpoint files).

@@ -10,16 +10,7 @@ splitting for parallel runs, checkpoint/resume, and renderers.
 
 __version__ = "0.1.0"
 
-from packlat.coloring import (
-    ForbiddenMask,
-    PartialColoring,
-    Violation,
-    assign,
-    can_use_color,
-    fresh_state,
-    undo,
-    verify,
-)
+from packlat.coloring import Violation, verify
 from packlat.errors import (
     CorruptCheckpoint,
     CorruptUnit,
@@ -28,7 +19,7 @@ from packlat.errors import (
     TooLarge,
     VersionMismatch,
 )
-from packlat.grid import GridSpec, Position, ball, distance, scan_index, scan_next
+from packlat.grid import GridSpec, Position, distance
 from packlat.oracle import OracleResult, enumerate_feasible, packing_chromatic_number
 from packlat.search import (
     INTERRUPTED,
@@ -49,11 +40,10 @@ from packlat.search import (
 
 __all__ = [
     "__version__",
-    "ForbiddenMask", "PartialColoring", "Violation", "assign", "can_use_color",
-    "fresh_state", "undo", "verify",
+    "Violation", "verify",
     "CorruptCheckpoint", "CorruptUnit", "MalformedInput", "PacklatError",
     "TooLarge", "VersionMismatch",
-    "GridSpec", "Position", "ball", "distance", "scan_index", "scan_next",
+    "GridSpec", "Position", "distance",
     "OracleResult", "enumerate_feasible", "packing_chromatic_number",
     "INTERRUPTED", "SAT", "UNSAT", "Checkpoint", "SearchStats", "SolveResult",
     "SplitResult", "WorkUnit", "merge_outcomes", "resume", "solve",

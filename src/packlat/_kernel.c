@@ -3,8 +3,8 @@
    One slice runs the tree from the state in st[] until a node count
    reaches `limit` (returns LIMIT right after that assignment), a complete
    coloring is found (SAT), or the cell at position `floor` runs out of
-   colors (UNSAT). Counters and traversal order are those of the Python
-   mask route, which the tests compare it against.
+   colors (UNSAT). Counters and traversal order are those of the naive
+   route, which the tests compare it against.
 
    forb[p]   forbidden colors of free cell p, bit c-1 for color c
    nbr       later free cells within distance c of cell p are

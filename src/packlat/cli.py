@@ -31,7 +31,7 @@ from packlat.coloring import (
 from packlat.errors import MalformedInput, PacklatError
 from packlat.grid import GridSpec, Position
 from packlat.oracle import packing_chromatic_number
-from packlat.render import render_ascii, render_svg
+from packlat.render import render_svg
 from packlat.search import (
     DEFAULT_PROGRESS_EVERY,
     INTERRUPTED,
@@ -39,6 +39,7 @@ from packlat.search import (
     UNSAT,
     Checkpoint,
     SolveResult,
+    SplitResult,
     UnitOutcome,
     WorkUnit,
     default_workers,
@@ -285,6 +286,19 @@ def _run_sequential(args, grid: GridSpec, from_checkpoint: Checkpoint | None):
     return result
 
 
+def _finish_run(args, grid: GridSpec, mode: str, flags: dict, result: SolveResult,
+                t0_wall: float, extra: dict, checkpoint_path: str | None = None) -> int:
+    """Write the checkpoint and witness files a result calls for, then the report."""
+    if result.status == INTERRUPTED:
+        _write_checkpoint(checkpoint_path, result.checkpoint)
+        extra["checkpoint_file"] = checkpoint_path
+    if result.coloring is not None and args.witness_file:
+        _write_witness(args.witness_file, grid, result.coloring)
+        extra["witness_file"] = args.witness_file
+    _emit_report(build_report(grid, mode, flags, result, t0_wall, extra))
+    return STATUS_EXIT[result.status]
+
+
 def cmd_solve(args) -> int:
     grid = _grid_from_args(args)
     t0_wall = time.time()
@@ -295,7 +309,6 @@ def cmd_solve(args) -> int:
         "checkpoint_every": args.checkpoint_every,
         "early_exit": bool(args.early_exit),
     }
-    extra: dict = {}
     if args.mode == "par":
         if args.naive_check:
             raise _UsageError("--naive-check applies to sequential mode only")
@@ -310,15 +323,8 @@ def cmd_solve(args) -> int:
         )
     else:
         result = _run_sequential(args, grid, from_checkpoint=None)
-        if result.status == INTERRUPTED:
-            path = args.checkpoint_file or "packlat-interrupted.checkpoint.json"
-            _write_checkpoint(path, result.checkpoint)
-            extra["checkpoint_file"] = path
-    if result.coloring is not None and args.witness_file:
-        _write_witness(args.witness_file, grid, result.coloring)
-        extra["witness_file"] = args.witness_file
-    _emit_report(build_report(grid, args.mode, flags, result, t0_wall, extra))
-    return STATUS_EXIT[result.status]
+    return _finish_run(args, grid, args.mode, flags, result, t0_wall, {},
+                       args.checkpoint_file or "packlat-interrupted.checkpoint.json")
 
 
 def cmd_resume(args) -> int:
@@ -333,16 +339,8 @@ def cmd_resume(args) -> int:
         "checkpoint_every": args.checkpoint_every,
     }
     result = _run_sequential(args, grid, from_checkpoint=checkpoint)
-    extra: dict = {}
-    if result.status == INTERRUPTED:
-        path = args.checkpoint_file or args.checkpoint
-        _write_checkpoint(path, result.checkpoint)
-        extra["checkpoint_file"] = path
-    if result.coloring is not None and args.witness_file:
-        _write_witness(args.witness_file, grid, result.coloring)
-        extra["witness_file"] = args.witness_file
-    _emit_report(build_report(grid, "resume", flags, result, t0_wall, extra))
-    return STATUS_EXIT[result.status]
+    return _finish_run(args, grid, "resume", flags, result, t0_wall, {},
+                       args.checkpoint_file or args.checkpoint)
 
 
 def cmd_verify(args) -> int:
@@ -406,51 +404,64 @@ def cmd_solve_unit(args) -> int:
     unit = WorkUnit.from_dict(data)
     t0_wall = time.time()
     result = solve_unit(unit, naive=args.naive_check)
-    extra = {"unit": {"prefix": list(unit.prefix)}}
-    if result.coloring is not None and args.witness_file:
-        _write_witness(args.witness_file, unit.grid, result.coloring)
-        extra["witness_file"] = args.witness_file
     flags = {"mode": "unit", "naive_check": bool(args.naive_check)}
-    _emit_report(build_report(unit.grid, "unit", flags, result, t0_wall, extra))
-    return STATUS_EXIT[result.status]
+    return _finish_run(args, unit.grid, "unit", flags, result, t0_wall,
+                       {"unit": {"prefix": list(unit.prefix)}})
+
+
+def _fields(data: object, path: str, *keys: str) -> list:
+    """The named fields of a JSON object read from ``path``."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{path}: not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise MalformedInput(f'{path}: no "{key}" field')
+    return [data[key] for key in keys]
 
 
 def cmd_merge(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise MalformedInput(f"unsupported split manifest version {manifest.get('version')!r}")
-    grid = GridSpec.from_dict(manifest["grid"])
-    from packlat.search import SplitResult  # local: reconstruct from manifest
-
+    (version,) = _fields(manifest, args.manifest, "version")
+    if version != MANIFEST_VERSION:
+        raise MalformedInput(f"unsupported split manifest version {version!r}")
+    grid_dict, n_units, depth, emitted, overhead, at_emission = _fields(
+        manifest, args.manifest, "grid", "units", "depth",
+        "emitted_prefix_assignments", "prefix_overhead", "assignments_at_emission",
+    )
+    grid = GridSpec.from_dict(grid_dict)
     outcomes = []
     for path in args.reports:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
-        if GridSpec.from_dict(report["grid"]) != grid:
+        report_grid, unit, status, stats = _fields(
+            report, path, "grid", "unit", "status", "stats"
+        )
+        if GridSpec.from_dict(report_grid) != grid:
             raise MalformedInput(f"report {path} is for a different grid")
+        (prefix,), (nodes,) = _fields(unit, path, "prefix"), _fields(stats, path, "nodes")
         outcomes.append(
             UnitOutcome(
-                prefix=tuple(report["unit"]["prefix"]),
-                status=report["status"],
-                nodes=report["stats"]["nodes"],
+                prefix=tuple(prefix),
+                status=status,
+                nodes=nodes,
                 coloring=report.get("witness"),
-                tests=report["stats"].get("tests", 0),
-                calls=report["stats"].get("calls", 0),
-                max_depth=report["stats"].get("max_depth", 0),
+                tests=stats.get("tests", 0),
+                calls=stats.get("calls", 0),
+                max_depth=stats.get("max_depth", 0),
             )
         )
     units = tuple(
         WorkUnit(grid, o.prefix) for o in sorted(outcomes, key=lambda o: o.prefix)
     )
-    if len(units) != manifest["units"]:
+    if len(units) != n_units:
         raise MalformedInput(
-            f"{len(units)} unit reports for a split of {manifest['units']} units"
+            f"{len(units)} unit reports for a split of {n_units} units"
         )
     split_result = SplitResult(
         units=units,
-        depth=manifest["depth"],
-        emitted_prefix_assignments=manifest["emitted_prefix_assignments"],
-        prefix_overhead=manifest["prefix_overhead"],
-        assignments_at_emission=tuple(manifest["assignments_at_emission"]),
+        depth=depth,
+        emitted_prefix_assignments=emitted,
+        prefix_overhead=overhead,
+        assignments_at_emission=tuple(at_emission),
     )
     status, coloring, sequential, unit_total = merge_outcomes(split_result, outcomes)
     merged = {
@@ -465,8 +476,8 @@ def cmd_merge(args) -> int:
         "merge": {
             "units": len(outcomes),
             "unit_nodes_total": unit_total,
-            "emitted_prefix_assignments": manifest["emitted_prefix_assignments"],
-            "prefix_overhead": manifest["prefix_overhead"],
+            "emitted_prefix_assignments": emitted,
+            "prefix_overhead": overhead,
         },
         "lower_bound": lower_bound_note(grid) if status == UNSAT else None,
     }
@@ -489,7 +500,7 @@ def cmd_render(args) -> int:
     if args.grid_file or args.width or args.height or args.k or args.anchor:
         grid = _grid_from_args(args)
     _, rows = load_coloring(text, grid)
-    rendered = render_svg(rows) if args.format == "svg" else render_ascii(rows)
+    rendered = render_svg(rows) if args.format == "svg" else format_coloring_text(rows)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

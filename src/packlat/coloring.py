@@ -1,10 +1,8 @@
-"""The packing-coloring feasibility rules.
+"""The packing-coloring rule for complete colorings, and their file formats.
 
-Two routes to the same admissibility answer live here and in the search
-engine: ``can_use_color`` is the reference semantics (a direct scan of the
-distance ball), while ``ForbiddenMask`` maintains the same information
-incrementally with an undo journal. The search uses its own tuned variant
-of the mask; the equivalence of all routes is covered by tests.
+``verify`` checks a complete coloring against the rule from scratch,
+independently of the search routes in ``packlat.search``, which every
+SAT witness passes through.
 
 A complete coloring is exchanged either as plain text (``height`` lines of
 ``width`` whitespace-separated integers, row 1 first) or as JSON
@@ -14,156 +12,10 @@ A complete coloring is exchanged either as plain text (``height`` lines of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from packlat.errors import MalformedInput
-from packlat.grid import GridSpec, Position, ball, distance
-
-UNCOLORED = 0
-
-
-@dataclass
-class PartialColoring:
-    """A scan-order prefix assignment of colors, plus any anchor cells.
-
-    ``assignment`` has one slot per cell in scan order (0 means uncolored).
-    ``frontier`` is the length of the maximal colored prefix; every cell
-    beyond it is uncolored except anchors. Mutable, single-owner.
-    """
-
-    grid: GridSpec
-    assignment: list[int]
-    frontier: int
-    _history: list[int] = field(default_factory=list)  # scan indices, assign order
-
-    @classmethod
-    def empty(cls, grid: GridSpec) -> "PartialColoring":
-        """All cells uncolored. Use fresh_state() to also install anchors."""
-        return cls(grid=grid, assignment=[UNCOLORED] * grid.n_cells, frontier=0)
-
-    def color_at(self, pos: Position) -> int:
-        return self.assignment[self.grid.index_of(pos)]
-
-    def is_complete(self) -> bool:
-        return self.frontier == self.grid.n_cells
-
-    def rows(self) -> list[list[int]]:
-        """The assignment as height rows of width colors (row 1 first)."""
-        w = self.grid.width
-        return [self.assignment[r * w:(r + 1) * w] for r in range(self.grid.height)]
-
-
-class ForbiddenMask:
-    """Per-cell forbidden-color bitsets with a grouped undo journal.
-
-    Bit ``c - 1`` of a cell's mask is set exactly when some colored cell
-    at distance <= c carries color c. Each assignment pushes one journal
-    group; popping a group restores the mask bit for bit.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self._bits: list[int] = [0] * grid.n_cells
-        self._journal: list[int] = []          # touched cell indices
-        self._groups: list[tuple[int, int]] = []  # (journal mark, color)
-
-    def forbids(self, index: int, color: int) -> bool:
-        return bool(self._bits[index] >> (color - 1) & 1)
-
-    def forbidden_colors(self, index: int) -> set[int]:
-        bits = self._bits[index]
-        return {c for c in range(1, self.grid.max_color + 1) if bits >> (c - 1) & 1}
-
-    def push_group(self, color: int) -> None:
-        self._groups.append((len(self._journal), color))
-
-    def mark(self, index: int, color: int) -> None:
-        """Record color as forbidden at a cell; must be new, inside a group."""
-        self._bits[index] |= 1 << (color - 1)
-        self._journal.append(index)
-
-    def last_group_size(self) -> int:
-        mark, _ = self._groups[-1]
-        return len(self._journal) - mark
-
-    def pop_group(self) -> None:
-        mark, color = self._groups.pop()
-        bit = 1 << (color - 1)
-        while len(self._journal) > mark:
-            self._bits[self._journal.pop()] ^= bit
-
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
-
-    def snapshot(self) -> tuple[int, ...]:
-        """Immutable copy of the per-cell bitsets, for state comparisons."""
-        return tuple(self._bits)
-
-
-def can_use_color(pc: PartialColoring, pos: Position, color: int) -> bool:
-    """Reference admissibility test: scan the distance ball directly.
-
-    True exactly when no colored cell within distance ``color`` already
-    carries ``color``. The queried cell must itself be uncolored.
-    """
-    grid = pc.grid
-    if not 1 <= color <= grid.max_color:
-        raise ValueError(f"color {color} outside 1..{grid.max_color}")
-    if pc.color_at(pos) != UNCOLORED:
-        raise ValueError(f"cell {pos} is already colored")
-    for q in ball(pos, color, grid):
-        if pc.assignment[grid.index_of(q)] == color:
-            return False
-    return True
-
-
-def assign(pc: PartialColoring, mask: ForbiddenMask, pos: Position, color: int) -> None:
-    """Color a cell and propagate the new exclusions into the mask.
-
-    The cell must be the frontier cell, or an anchor cell being installed
-    ahead of the frontier, and the color must be admissible.
-    """
-    grid = pc.grid
-    index = grid.index_of(pos)
-    if not (index == pc.frontier or pos in grid.anchor_map):
-        raise ValueError(f"cell {pos} is not the frontier cell and not an anchor")
-    if not can_use_color(pc, pos, color):
-        raise ValueError(f"color {color} is not admissible at {pos}")
-    mask.push_group(color)
-    for q in ball(pos, color, grid):
-        qi = grid.index_of(q)
-        if pc.assignment[qi] == UNCOLORED and not mask.forbids(qi, color):
-            mask.mark(qi, color)
-    pc.assignment[index] = color
-    pc._history.append(index)
-    while pc.frontier < grid.n_cells and pc.assignment[pc.frontier] != UNCOLORED:
-        pc.frontier += 1
-
-
-def undo(pc: PartialColoring, mask: ForbiddenMask) -> None:
-    """Remove the last assignment and restore the mask.
-
-    Anchors are permanent: undoing past them is a contract violation.
-    """
-    if not pc._history:
-        raise ValueError("nothing to undo")
-    index = pc._history[-1]
-    if pc.grid.position_at(index) in pc.grid.anchor_map:
-        raise ValueError("only anchor assignments remain")
-    pc._history.pop()
-    pc.assignment[index] = UNCOLORED
-    pc.frontier = index
-    mask.pop_group()
-
-
-def fresh_state(grid: GridSpec) -> tuple[PartialColoring, ForbiddenMask]:
-    """A search-ready state with all anchors installed via ordinary assigns."""
-    pc = PartialColoring.empty(grid)
-    mask = ForbiddenMask(grid)
-    for pos, color in grid.anchors:
-        assign(pc, mask, pos, color)
-    return pc, mask
+from packlat.grid import GridSpec, Position, distance
 
 
 @dataclass(frozen=True)
@@ -212,6 +64,7 @@ def verify(grid: GridSpec, rows: list[list[int]]) -> Violation | None:
 
 
 def format_coloring_text(rows: list[list[int]]) -> str:
+    """The coloring as a text grid with fixed-width columns, row 1 first."""
     width = max(len(str(v)) for row in rows for v in row)
     return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows) + "\n"
 

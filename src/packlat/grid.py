@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from packlat.errors import MalformedInput
@@ -94,10 +93,6 @@ class GridSpec:
         """Inverse of index_of."""
         return Position(index % self.width + 1, index // self.width + 1)
 
-    @cached_property
-    def anchor_map(self) -> dict[Position, int]:
-        return {pos: color for pos, color in self.anchors}
-
     def to_dict(self) -> dict:
         return {
             "width": self.width,
@@ -136,42 +131,3 @@ class GridSpec:
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"grid spec is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-
-def scan_index(pos: Position, grid: GridSpec) -> int:
-    return grid.index_of(pos)
-
-
-def scan_next(index: int, grid: GridSpec) -> int | None:
-    """Successor scan index, or None once every cell has been passed.
-
-    Index ``n_cells`` means "all cells colored" and has no successor.
-    """
-    if not 0 <= index <= grid.n_cells:
-        raise ValueError(f"scan index {index} outside 0..{grid.n_cells}")
-    if index == grid.n_cells:
-        return None
-    return index + 1
-
-
-def ball(center: Position, radius: int, grid: GridSpec) -> set[Position]:
-    """In-window cells other than the center within the given distance.
-
-    Clips the L1 ball to the window, so corner and edge cells get smaller
-    balls than interior ones.
-    """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if not grid.contains(center):
-        raise ValueError(f"center {center} outside {grid.width}x{grid.height} window")
-    col, row = center
-    out: set[Position] = set()
-    for dr in range(-radius, radius + 1):
-        r = row + dr
-        if not 1 <= r <= grid.height:
-            continue
-        span = radius - abs(dr)
-        for c in range(max(1, col - span), min(grid.width, col + span) + 1):
-            out.add(Position(c, r))
-    out.discard(center)
-    return out

@@ -1,7 +1,8 @@
-"""Figure-style output of complete colorings: fixed-width text and SVG.
+"""Figure-style output of complete colorings as SVG.
 
-Both renderings are deterministic byte for byte for a fixed input, so
-they can be pinned with golden files.
+The rendering is deterministic byte for byte for a fixed input, so it can
+be pinned with a golden file. The fixed-width text form is
+``packlat.coloring.format_coloring_text``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ PALETTE = (
 
 CELL = 32
 FONT = 14
-
-
-def render_ascii(rows: list[list[int]]) -> str:
-    """The coloring as a text grid with fixed-width columns, row 1 first."""
-    width = max(len(str(v)) for row in rows for v in row)
-    return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows) + "\n"
 
 
 def render_svg(rows: list[list[int]]) -> str:

@@ -16,13 +16,13 @@ Counters, and what they mean here:
 * ``calls``   arrivals at a non-anchor cell with a fresh color loop
               (the recursion depth events of the classic formulation).
 
-The fast path is a compiled C kernel (``_kernel.c``, built with the
+The fast route is a compiled C kernel (``_kernel.c``, built with the
 local C compiler and loaded through ``ctypes``) that keeps one
 forbidden-color word per free cell and journals the cells each
-assignment newly forbade. Where it cannot be built, or ``max_color``
-exceeds its word, the same masks live in one big Python integer with one
-journaled delta per assignment. The naive path rescans distance balls on
-every test. All three traverse the identical tree.
+assignment newly forbade. The naive route, in pure Python, rescans
+distance balls on every test; it is the independent reference for
+differential runs and the fallback where the kernel cannot be built or
+``max_color`` exceeds its word. Both traverse the identical tree.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class SolveResult:
     stats: SearchStats
     checkpoint: Checkpoint | None = None
     parallel: ParallelInfo | None = None
-    engine: str | None = None  # the route that ran: "c", "python" or "naive"
+    engine: str | None = None  # the route that ran: "c" or "naive"
 
 
 class _Tables:
@@ -189,7 +189,6 @@ class _Tables:
             anchor_at[grid.index_of(pos)] = color
         self.free: tuple[int, ...] = tuple(i for i in range(n) if not anchor_at[i])
         self.k = grid.max_color
-        self.full_mask = (1 << self.k) - 1
         self.anchor_at = tuple(anchor_at)
 
     def _distance(self, a: int, b: int) -> int:
@@ -206,29 +205,6 @@ class _Tables:
                     if self._distance(acell, cell) <= ac:
                         rows[p] |= 1 << (ac - 1)
         return tuple(rows)
-
-    @cached_property
-    def init_mask(self) -> int:
-        k = self.k
-        return sum(row << (p * k) for p, row in enumerate(self.init_rows))
-
-    @cached_property
-    def patterns(self) -> tuple[tuple[int, ...], ...]:
-        """Mask route: when the p-th free cell takes color c, the bits of c
-        at every later free cell within distance c. Earlier cells are
-        already colored, so the forward half of the ball suffices."""
-        k, free = self.k, self.free
-        patterns = []
-        for p, cell in enumerate(free):
-            per_color = []
-            for c in range(1, k + 1):
-                pat = 0
-                for q in range(p + 1, len(free)):
-                    if self._distance(cell, free[q]) <= c:
-                        pat |= 1 << (q * k + (c - 1))
-                per_color.append(pat)
-            patterns.append(tuple(per_color))
-        return tuple(patterns)
 
     @cached_property
     def naive_scan(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -252,9 +228,10 @@ class _Tables:
 
     @cached_property
     def csr(self):
-        """Kernel route: the mask route's forward balls as flat int32 arrays.
+        """Kernel route: forward balls as flat int32 arrays.
 
-        Free cell p's later free cells within distance c are
+        Color c on free cell p constrains the later free cells within
+        distance c (earlier ones are already colored), which are
         ``nbr[row[p] : row[p] + cnt[p * k + c - 1]]``, built from the
         window geometry ring by ring, so each ball extends the previous.
         """
@@ -335,22 +312,29 @@ def _build_kernel(cache: Path, key: str) -> Path:
             os.unlink(tmp)
 
 
+def _intact(lib: Path, key: str) -> bool:
+    return lib.name == f"kernel-{key}-{_crc(lib.read_bytes())}.so"
+
+
 @lru_cache(maxsize=None)
 def _load_kernel():
     """The compiled slice function, or None when it cannot be built or loaded.
 
     The library is built once per CRC-32 of its source and compiler
-    command in ``~/.cache/packlat``. Without a working compiler, or with a
-    damaged cached library, the engine runs on the Python mask route
-    instead.
+    command in ``~/.cache/packlat``. A cached library whose bytes no
+    longer match the CRC in its name is deleted and built once more.
+    Without a working compiler the engine runs on the naive route instead.
     """
     try:
         cache = Path(_KERNEL_CACHE).expanduser()
         key = _kernel_key()
         found = sorted(cache.glob(f"kernel-{key}-*.so"))
         lib = found[0] if found else _build_kernel(cache, key)
-        if lib.name != f"kernel-{key}-{_crc(lib.read_bytes())}.so":
-            return None
+        if not _intact(lib, key):
+            lib.unlink(missing_ok=True)
+            lib = _build_kernel(cache, key)
+            if not _intact(lib, key):
+                return None
         import ctypes
 
         fn = ctypes.CDLL(str(lib)).packlat_slice
@@ -370,14 +354,13 @@ _SLICE_STATUS = (None, SAT, UNSAT)  # the kernel's return codes
 class _Engine:
     """Single-owner mutable search state; one engine per run.
 
-    ``route`` is "c" (the compiled kernel), "python" (the same forbidden
-    masks in one big integer, used when the kernel is unavailable or
-    ``max_color`` exceeds its word) or "naive" (ball rescans, for
-    differential runs). Every route runs the tree in slices with one
-    contract: a slice returns None right after the assignment that brings
-    ``nodes`` to ``limit``, SAT when every cell is colored, and UNSAT when
-    the cell at ``floor`` runs out of colors. ``run`` handles all events
-    between slices.
+    ``route`` is "c" (the compiled kernel) or "naive" (ball rescans, for
+    differential runs, and wherever the kernel is unavailable or
+    ``max_color`` exceeds its word). Both routes run the tree in slices
+    with one contract: a slice returns None right after the assignment
+    that brings ``nodes`` to ``limit``, SAT when every cell is colored,
+    and UNSAT when the cell at ``floor`` runs out of colors. ``run``
+    handles all events between slices.
     """
 
     def __init__(self, grid: GridSpec, naive: bool = False):
@@ -393,11 +376,11 @@ class _Engine:
         self.calls = 0
         self.max_pos = 0
         kernel = None if naive or self.k > _KERNEL_COLORS else _load_kernel()
-        if naive:
+        if kernel is None:
             self.route = "naive"
             self.cell_colors = list(self.tables.anchor_at)
             self._place, self._slice = self._place_naive, self._slice_naive
-        elif kernel is not None:
+        else:
             import ctypes
 
             n = self.n_free
@@ -410,11 +393,6 @@ class _Engine:
             self._journal = (ctypes.c_int32 * len(self._csr[2]))()
             self._state = (ctypes.c_int64 * 6)()  # as _slice_c packs it
             self._place, self._slice = self._place_c, self._slice_c
-        else:
-            self.route = "python"
-            self.mask = self.tables.init_mask
-            self.journal: list[int] = []
-            self._place, self._slice = self._place_python, self._slice_python
 
     def replay(self, decisions, error_cls) -> None:
         """Re-apply a decision sequence without counting any work.
@@ -444,14 +422,6 @@ class _Engine:
         if any(colors[q] == color for q in self.tables.naive_scan[self.pos][color - 1]):
             return False
         colors[self.tables.free[self.pos]] = color
-        return True
-
-    def _place_python(self, color: int) -> bool:
-        if (self.mask >> (self.pos * self.k + color - 1)) & 1:
-            return False
-        newly = self.tables.patterns[self.pos][color - 1] & ~self.mask
-        self.mask |= newly
-        self.journal.append(newly)
         return True
 
     def _place_c(self, color: int) -> bool:
@@ -531,66 +501,6 @@ class _Engine:
         self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos = st
         self.branch[:] = self._cbranch[:self.pos]
         return _SLICE_STATUS[code]
-
-    def _slice_python(self, floor: int, limit: int) -> str | None:
-        k = self.k
-        full = self.tables.full_mask
-        patterns = self.tables.patterns
-        n = self.n_free
-        mask = self.mask
-        branch = self.branch
-        journal = self.journal
-        pos = self.pos
-        start = self.start
-        nodes = self.nodes
-        tests = self.tests
-        calls = self.calls
-        max_pos = self.max_pos
-        shift = pos * k
-
-        status = None
-        while True:
-            if pos == n:
-                status = SAT
-                break
-            row = (mask >> shift) & full
-            avail = ~row & full & -(1 << (start - 1))
-            if avail:
-                c = (avail & -avail).bit_length()
-                tests += c - start + 1
-                newly = patterns[pos][c - 1] & ~mask
-                mask |= newly
-                journal.append(newly)
-                branch.append(c)
-                nodes += 1
-                pos += 1
-                shift += k
-                start = 1
-                if pos > max_pos:
-                    max_pos = pos
-                if pos < n:
-                    calls += 1
-                if nodes >= limit:
-                    break
-            else:
-                tests += k - start + 1
-                if pos == floor:
-                    status = UNSAT
-                    break
-                pos -= 1
-                shift -= k
-                c = branch.pop()
-                mask ^= journal.pop()
-                start = c + 1
-
-        self.mask = mask
-        self.pos = pos
-        self.start = start
-        self.nodes = nodes
-        self.tests = tests
-        self.calls = calls
-        self.max_pos = max_pos
-        return status
 
     def _slice_naive(self, floor: int, limit: int) -> str | None:
         k = self.k
@@ -697,7 +607,7 @@ def solve(
     Args:
         grid: window, color budget, anchors.
         naive: use the ball-rescan admissibility test instead of the
-            incremental mask (slow; for differential runs).
+            compiled kernel (slow; for differential runs).
         suspend_at: stop once this many nodes have been counted.
         checkpoint_every / on_checkpoint: invoke the callback with a
             rolling Checkpoint every N nodes, without stopping.
@@ -765,60 +675,24 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     Assignments spent on prefixes that die before reaching the depth are
     returned as prefix overhead so that node counts stay reconcilable.
     """
-    tables = _tables(grid)
-    n_free = len(tables.free)
-    if not 1 <= depth <= n_free:
-        raise ValueError(f"split depth {depth} outside 1..{n_free}")
-    k = grid.max_color
-    full = tables.full_mask
-    patterns = tables.patterns
-
-    mask = tables.init_mask
-    branch: list[int] = []
-    journal: list[int] = []
-    emitted_marks: list[int] = []
+    engine = _Engine(grid, naive=True)
+    if not 1 <= depth <= engine.n_free:
+        raise ValueError(f"split depth {depth} outside 1..{engine.n_free}")
+    engine.n_free = depth  # cut the tree: a complete prefix counts as SAT
     units: list[WorkUnit] = []
     cum: list[int] = []
-    assignments = 0
-    emitted = 0
-    overhead = 0
-    pos = 0
-    start = 1
-    while True:
-        if pos == depth:
-            units.append(WorkUnit(grid, tuple(branch)))
-            cum.append(assignments)
-            backtrack = True
-        else:
-            row = (mask >> (pos * k)) & full
-            avail = ~row & full & -(1 << (start - 1))
-            if avail:
-                c = (avail & -avail).bit_length()
-                newly = patterns[pos][c - 1] & ~mask
-                mask |= newly
-                journal.append(newly)
-                branch.append(c)
-                emitted_marks.append(len(units))
-                assignments += 1
-                pos += 1
-                start = 1
-                continue
-            backtrack = pos > 0
-            if not backtrack:
-                break
-        pos -= 1
-        c = branch.pop()
-        mask ^= journal.pop()
-        if len(units) > emitted_marks.pop():
-            emitted += 1
-        else:
-            overhead += 1
-        start = c + 1
+    while engine.run() == SAT:
+        units.append(WorkUnit(grid, tuple(engine.branch)))
+        cum.append(engine.nodes)
+        engine.pos -= 1  # undo the last decision and go on with its next color
+        engine.start = engine.branch.pop() + 1
+        engine.cell_colors[engine.tables.free[engine.pos]] = 0
+    emitted = len({u.prefix[:i] for u in units for i in range(1, depth + 1)})
     return SplitResult(
         units=tuple(units),
         depth=depth,
         emitted_prefix_assignments=emitted,
-        prefix_overhead=overhead,
+        prefix_overhead=engine.nodes - emitted,
         assignments_at_emission=tuple(cum),
     )
 

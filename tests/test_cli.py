@@ -260,6 +260,33 @@ def test_merge_rejects_missing_units(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("damage,message", [
+    ("report without unit", 'no "unit" field'),
+    ("report not an object", "not a JSON object"),
+    ("manifest without grid", 'no "grid" field'),
+], ids=["report-without-unit", "report-not-an-object", "manifest-without-grid"])
+def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damage, message):
+    out_dir = tmp_path / "units"
+    run(capsys, "split", "--width", "1", "--height", "2", "--k", "1",
+        "--split-depth", "1", "--out-dir", str(out_dir))
+    manifest_file, report_file = out_dir / "split.json", tmp_path / "report.json"
+    report_file.write_text(run(capsys, "solve-unit", str(out_dir / "unit_0000.json"))[1])
+    assert run(capsys, "merge", str(manifest_file), str(report_file))[0] == 10
+    manifest = json.loads(manifest_file.read_text())
+    report = json.loads(report_file.read_text())
+    if damage == "report without unit":
+        del report["unit"]
+    elif damage == "report not an object":
+        report = [1]
+    else:
+        del manifest["grid"]
+    manifest_file.write_text(json.dumps(manifest))
+    report_file.write_text(json.dumps(report))
+    code, out, err = run(capsys, "merge", str(manifest_file), str(report_file))
+    bad_file = manifest_file if damage.startswith("manifest") else report_file
+    assert (code, out, err) == (1, "", f"packlat: error: {bad_file}: {message}\n")
+
+
 # --- checkpoint / resume ----------------------------------------------------
 
 
@@ -444,7 +471,7 @@ def test_report_names_the_engine_only_in_volatile(capsys):
 
     argv = ["solve", "--width", "9", "--height", "7", "--k", "6", "--anchor", "5,4,4"]
     reports = [report_of(run(capsys, *argv)[1]) for _ in range(2)]
-    fast = "c" if shutil.which("cc") else "python"
+    fast = "c" if shutil.which("cc") else "naive"
     assert [r["volatile"]["engine"] for r in reports] == [fast, fast]
     assert stable(reports[0]) == stable(reports[1])
     naive = run(capsys, "solve", "--width", "3", "--height", "3", "--k", "4", "--naive-check")
@@ -511,6 +538,7 @@ def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     # checkpoint, resume to the same final count as an uninterrupted run
     import os
     import select
+    import shutil
     import signal
     import subprocess
     import sys
@@ -535,6 +563,7 @@ def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
             sys.executable, "-m", "packlat.cli", "solve",
             "--width", "9", "--height", "7", "--k", "6", "--anchor", "5,4,4",
             "--checkpoint-file", str(cp_file), "--progress-every", "65536",
+            "--naive-check",  # about 2 s on this tree: room for the signal
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -564,6 +593,7 @@ def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     assert proc.returncode == 20, (out, err)
     report = json.loads(out)
     assert report["status"] == "INTERRUPTED"
+    assert report["volatile"]["engine"] == "naive"
     assert cp_file.exists()
 
     resumed = subprocess.run(
@@ -579,3 +609,5 @@ def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     # 9x7 k=6 anchored exhausts at a pinned count; resume must land on it
     assert final["status"] == "UNSAT"
     assert final["stats"]["nodes"] == 1378337
+    # the checkpoint of the naive route resumes on the default one
+    assert final["volatile"]["engine"] == ("c" if shutil.which("cc") else "naive")

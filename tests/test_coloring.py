@@ -1,206 +1,122 @@
-"""Feasibility rules: admissibility, assign/undo journaling, the verifier."""
+"""The packing rule: the kernel's forbidden words, the verifier, file formats."""
+
+import shutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from packlat import search
 from packlat.coloring import (
-    PartialColoring,
     Violation,
-    assign,
-    can_use_color,
     coloring_from_dict,
     coloring_to_dict,
     format_coloring_text,
-    fresh_state,
     load_coloring,
     parse_coloring_text,
-    undo,
     verify,
 )
-from packlat.errors import MalformedInput
+from packlat.errors import CorruptUnit, MalformedInput
 from packlat.grid import GridSpec, Position, distance
+from packlat.search import INTERRUPTED, SAT, UNSAT
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-def test_can_use_on_empty_window():
-    pc, _ = fresh_state(GridSpec(3, 3, 3))
-    assert can_use_color(pc, Position(2, 2), 1)
-
-
-def test_can_use_adjacent_same_color_fails():
-    grid = GridSpec(2, 2, 2, anchors=((Position(1, 1), 1),))
-    pc, _ = fresh_state(grid)
-    assert not can_use_color(pc, Position(2, 1), 1)
-
-
-def test_can_use_respects_color_two_radius():
-    grid = GridSpec(3, 3, 3, anchors=((Position(1, 1), 2),))
-    pc, _ = fresh_state(grid)
-    assert distance(Position(1, 1), Position(1, 3)) == 2
-    assert not can_use_color(pc, Position(1, 3), 2)
-    assert distance(Position(1, 1), Position(3, 2)) == 3
-    assert can_use_color(pc, Position(3, 2), 2)
-
-
-def test_can_use_rejects_colored_cell():
-    grid = GridSpec(2, 2, 2, anchors=((Position(1, 1), 1),))
-    pc, _ = fresh_state(grid)
-    with pytest.raises(ValueError):
-        can_use_color(pc, Position(1, 1), 2)
+def kernel_engine(grid):
+    engine = search._Engine(grid)
+    assert engine.route == "c"
+    return engine
 
 
 def test_assign_anchor_nine_mask_consequence():
-    # installing 9 at (5,5) on an empty 15x9 window forbids 9 exactly on the
-    # in-window cells within distance 9; group size counted independently
-    from packlat.coloring import ForbiddenMask
-
+    # color 9 anchored at (5,5) of the 15x9 window forbids 9, and nothing
+    # else, exactly on the in-window cells within distance 9
     grid = GridSpec(15, 9, 11, anchors=((Position(5, 5), 9),))
-    pc = PartialColoring.empty(grid)
-    mask = ForbiddenMask(grid)
-    assign(pc, mask, Position(5, 5), 9)
-    expected = 0
-    for col in range(1, 16):
-        for row in range(1, 10):
-            p = Position(col, row)
-            if p == Position(5, 5):
-                continue
-            within = abs(col - 5) + abs(row - 5) <= 9
-            if within:
-                expected += 1
-            assert mask.forbids(grid.index_of(p), 9) == within
-    assert mask.last_group_size() == expected
+    tables = search._tables(grid)
+    for p, cell in enumerate(tables.free):
+        within = distance(grid.position_at(cell), Position(5, 5)) <= 9
+        assert tables.init_rows[p] == (1 << 8 if within else 0)
 
 
+@needs_cc
 def test_assign_unit_ball_marks_two_cells():
-    grid = GridSpec(2, 2, 2)
-    pc, mask = fresh_state(grid)
-    assign(pc, mask, Position(1, 1), 1)
-    assert mask.last_group_size() == 2
-    assert mask.forbidden_colors(grid.index_of(Position(2, 1))) == {1}
-    assert mask.forbidden_colors(grid.index_of(Position(1, 2))) == {1}
-    assert mask.forbidden_colors(grid.index_of(Position(2, 2))) == set()
+    engine = kernel_engine(GridSpec(2, 2, 2))
+    assert engine.run(suspend_at=1) == INTERRUPTED  # color 1 at (1,1)
+    assert engine._jtop[1] == 2  # journal: the two neighbours newly forbade 1
+    assert list(engine._forb[1:]) == [0b01, 0b01, 0b00]  # (2,1), (1,2), (2,2)
 
 
+@needs_cc
 def test_assign_then_undo_restores_mask_bit_identically():
-    grid = GridSpec(3, 3, 3)
-    pc, mask = fresh_state(grid)
-    assign(pc, mask, Position(1, 1), 2)
-    before = mask.snapshot()
-    frontier_before = pc.frontier
-    assign(pc, mask, Position(2, 1), 1)
-    undo(pc, mask)
-    assert mask.snapshot() == before
-    assert pc.frontier == frontier_before
-    assert pc.color_at(Position(2, 1)) == 0
-
-
-def test_assign_requires_frontier_or_anchor():
-    pc, mask = fresh_state(GridSpec(2, 2, 3))
-    with pytest.raises(ValueError):
-        assign(pc, mask, Position(2, 2), 1)  # not the frontier cell
-
-
-def test_assign_rejects_inadmissible_color():
-    grid = GridSpec(2, 2, 2, anchors=((Position(1, 1), 1),))
-    pc, mask = fresh_state(grid)
-    with pytest.raises(ValueError):
-        assign(pc, mask, Position(2, 1), 1)
-
-
-def test_undo_refuses_to_remove_anchors():
-    grid = GridSpec(2, 2, 3, anchors=((Position(1, 1), 1),))
-    pc, mask = fresh_state(grid)
-    with pytest.raises(ValueError):
-        undo(pc, mask)
+    # the kernel colors and uncolors every cell below (1,1)=2 and must leave
+    # the forbidden words exactly as it found them
+    engine = kernel_engine(GridSpec(3, 3, 3))
+    engine.replay((2,), CorruptUnit)
+    before = list(engine._forb)
+    assert engine.run(floor=1) == UNSAT
+    assert engine.nodes > 0
+    assert (list(engine._forb), engine.branch) == (before, [2])
 
 
 def test_frontier_skips_anchor_cells():
-    grid = GridSpec(2, 2, 3, anchors=((Position(2, 1), 2),))
-    pc, mask = fresh_state(grid)
-    assert pc.frontier == 0
-    assign(pc, mask, Position(1, 1), 1)
-    # cell (2,1) is the anchor, so the frontier jumps past it
-    assert pc.frontier == 2
+    tables = search._tables(GridSpec(2, 2, 3, anchors=((Position(2, 1), 2),)))
+    assert tables.frontier_cells(0) == 0
+    # cell (2,1) is the anchor, so coloring (1,1) covers two cells
+    assert tables.frontier_cells(1) == 2
+    assert tables.frontier_cells(3) == 4
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=20))
-def test_random_assign_undo_unwinds_to_start(ops):
-    """Stack discipline: any assign/undo walk fully unwound is bit-identical."""
-    grid = GridSpec(5, 5, 4)
-    pc, mask = fresh_state(grid)
-    base_mask = mask.snapshot()
-    base_assignment = list(pc.assignment)
-    depth = 0
-    for op in ops:
-        if op == 0 and depth > 0:
-            undo(pc, mask)
-            depth -= 1
-        elif pc.frontier < grid.n_cells:
-            pos = grid.position_at(pc.frontier)
-            colors = [c for c in range(1, 5) if can_use_color(pc, pos, c)]
-            if colors:
-                assign(pc, mask, pos, colors[op % len(colors)])
-                depth += 1
-    for _ in range(depth):
-        undo(pc, mask)
-    assert mask.snapshot() == base_mask
-    assert pc.assignment == base_assignment
-    assert pc.frontier == 0
-
-
-def _explore_all_states(grid, check):
-    """Drive the reference ops through every reachable search state."""
-    pc, mask = fresh_state(grid)
-
-    def walk():
-        check(pc, mask)
-        if pc.frontier == grid.n_cells:
+def kernel_states(grid):
+    """The kernel engine after each node of the whole tree, past every SAT."""
+    engine = kernel_engine(grid)
+    while True:
+        status = engine.run(suspend_at=engine.nodes + 1)
+        if status == UNSAT:
             return
-        pos = grid.position_at(pc.frontier)
-        for color in range(1, grid.max_color + 1):
-            if can_use_color(pc, pos, color):
-                before = mask.snapshot()
-                assign(pc, mask, pos, color)
-                after = mask.snapshot()
-                # monotone: an assignment never clears a forbidden bit
-                assert all(b & ~a == 0 for b, a in zip(before, after))
-                walk()
-                undo(pc, mask)
-                assert mask.snapshot() == before
-
-    walk()
+        if status == SAT:
+            # the last cell forbids nothing further on, so undo it by hand
+            engine.pos -= 1
+            engine.start = engine.branch.pop() + 1
+        else:
+            yield engine
 
 
+def rescanned_words(grid, engine):
+    """Forbidden colors of each open cell, by rescanning every colored cell."""
+    tables = engine.tables
+    colored = [(grid.position_at(cell), c) for cell, c in enumerate(tables.anchor_at) if c]
+    colored += [(grid.position_at(tables.free[p]), c) for p, c in enumerate(engine.branch)]
+    words = []
+    for cell in tables.free[engine.pos:]:
+        pos = grid.position_at(cell)
+        words.append(sum({1 << (c - 1) for q, c in colored if distance(pos, q) <= c}))
+    return words
+
+
+def assert_kernel_words_match_rescans(grid):
+    states = 0
+    for engine in kernel_states(grid):
+        assert list(engine._forb[engine.pos:]) == rescanned_words(grid, engine), engine.branch
+        states += 1
+    return states
+
+
+@needs_cc
 @pytest.mark.parametrize("width,height,k", [
     (w, h, k) for w in range(1, 5) for h in range(1, 5) for k in range(1, 6)
 ])
 def test_mask_matches_naive_on_every_reachable_state(width, height, k):
-    """Forbidden-mask bits agree with the ball-rescan test, exhaustively."""
+    """The kernel's forbidden words agree with ball rescans, exhaustively."""
     grid = GridSpec(width, height, k)
-
-    def check(pc, mask):
-        for i in range(grid.n_cells):
-            if pc.assignment[i] != 0:
-                continue
-            pos = grid.position_at(i)
-            for color in range(1, k + 1):
-                assert mask.forbids(i, color) != can_use_color(pc, pos, color)
-
-    _explore_all_states(grid, check)
+    states = assert_kernel_words_match_rescans(grid)
+    # every consistent prefix of every length is a reachable state
+    assert states == sum(len(search.split(grid, d).units) for d in range(1, width * height + 1))
 
 
+@needs_cc
 def test_mask_naive_equivalence_with_anchor():
-    grid = GridSpec(3, 3, 4, anchors=((Position(2, 2), 3),))
-
-    def check(pc, mask):
-        for i in range(grid.n_cells):
-            if pc.assignment[i] != 0:
-                continue
-            pos = grid.position_at(i)
-            for color in range(1, 5):
-                assert mask.forbids(i, color) != can_use_color(pc, pos, color)
-
-    _explore_all_states(grid, check)
+    assert assert_kernel_words_match_rescans(
+        GridSpec(3, 3, 4, anchors=((Position(2, 2), 3),))
+    ) > 0
 
 
 # --- verifier ---------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from packlat.errors import MalformedInput
-from packlat.grid import GridSpec, Position, ball, distance, scan_index, scan_next
+from packlat import search
+from packlat.grid import GridSpec, Position, distance
 
 positions = st.builds(
     Position, st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30)
@@ -38,14 +39,12 @@ def test_distance_triangle_inequality(a, b, c):
 
 def test_scan_next_first_step():
     grid = GridSpec(15, 9, 11)
-    assert scan_next(0, grid) == 1
     assert grid.position_at(0) == Position(1, 1)
     assert grid.position_at(1) == Position(2, 1)
 
 
 def test_scan_next_row_wrap():
     grid = GridSpec(15, 9, 11)
-    assert scan_next(14, grid) == 15
     assert grid.position_at(14) == Position(15, 1)
     assert grid.position_at(15) == Position(1, 2)
 
@@ -53,9 +52,8 @@ def test_scan_next_row_wrap():
 def test_scan_next_end():
     grid = GridSpec(15, 9, 11)
     assert grid.n_cells == 135
-    assert scan_next(135, grid) is None
-    with pytest.raises(ValueError):
-        scan_next(136, grid)
+    assert grid.position_at(134) == Position(15, 9)
+    assert not grid.contains(grid.position_at(135))
 
 
 def test_scan_bijection_exhaustive():
@@ -67,52 +65,26 @@ def test_scan_bijection_exhaustive():
                 pos = grid.position_at(i)
                 assert grid.contains(pos)
                 assert grid.index_of(pos) == i
-                assert scan_index(pos, grid) == i
-
-
-def test_ball_unit_corner():
-    grid = GridSpec(2, 2, 2)
-    assert ball(Position(1, 1), 1, grid) == {Position(2, 1), Position(1, 2)}
-
-
-def test_ball_unit_center():
-    grid = GridSpec(3, 3, 2)
-    assert ball(Position(2, 2), 1, grid) == {
-        Position(1, 2), Position(3, 2), Position(2, 1), Position(2, 3),
-    }
-
-
-def test_ball_radius_covers_whole_window():
-    # every other cell of a 3x3 window is within distance 4 of the center
-    grid = GridSpec(3, 3, 4)
-    expected = {
-        Position(c, r) for c in range(1, 4) for r in range(1, 4)
-    } - {Position(2, 2)}
-    assert max(distance(Position(2, 2), p) for p in expected) == 2
-    assert ball(Position(2, 2), 4, grid) == expected
 
 
 def test_ball_consistency_exhaustive():
-    # membership is exactly "p != center and distance <= r", windows to 6x6
+    # the kernel's forward balls: the open cells after p in scan order within
+    # distance r of it, each once, windows to 6x6 with and without an anchor
     for w in range(1, 7):
         for h in range(1, 7):
-            grid = GridSpec(w, h, 1)
-            cells = [grid.position_at(i) for i in range(grid.n_cells)]
-            for center in cells:
-                for r in range(1, 12):
-                    got = ball(center, r, grid)
-                    expected = {
-                        p for p in cells if p != center and distance(center, p) <= r
-                    }
-                    assert got == expected
-
-
-def test_ball_rejects_bad_arguments():
-    grid = GridSpec(3, 3, 2)
-    with pytest.raises(ValueError):
-        ball(Position(2, 2), 0, grid)
-    with pytest.raises(ValueError):
-        ball(Position(4, 1), 1, grid)
+            for anchors in ((), ((Position(1 + w // 2, 1 + h // 2), 3),)):
+                grid = GridSpec(w, h, 11, anchors)
+                tables = search._Tables(grid)
+                free = [grid.position_at(cell) for cell in tables.free]
+                row, cnt, nbr = tables.csr
+                for p, center in enumerate(free):
+                    for r in range(1, 12):
+                        got = nbr[row[p]:row[p] + cnt[p * 11 + r - 1]]
+                        expected = [
+                            q for q in range(p + 1, len(free))
+                            if distance(center, free[q]) <= r
+                        ]
+                        assert sorted(got) == expected
 
 
 def test_gridspec_rejects_bad_dimensions():

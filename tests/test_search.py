@@ -349,22 +349,20 @@ def test_parallel_early_exit_flags_counts_unreproducible():
     assert verify(GridSpec(2, 2, 3), result.coloring) is None
 
 
-# --- engine routes: compiled kernel, Python masks, naive rescans -------------
+# --- engine routes: compiled kernel, and naive rescans in pure Python ------
 
-ROUTES = ("c", "python", "naive")
+ROUTES = ("c", "naive")
 SWEEP = [GridSpec(w, h, k) for w in range(1, 5) for h in range(1, 5) for k in range(1, 6)]
 ANCHORED_9X7 = GridSpec(9, 7, 6, anchors=((Position(5, 4), 4),))
 PINNED_9X7 = {"nodes": 1_378_337, "tests": 8_270_028, "calls": 1_378_338, "max_depth": 30}
+PINNED_4X4 = {"nodes": 275, "tests": 1104, "calls": 276, "max_depth": 10}
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def on_route(route, fn, *args, **kwargs):
-    """Call a search entry point with the engine held to one route."""
-    with pytest.MonkeyPatch.context() as mp:
-        if route == "python":
-            mp.setattr(search, "_load_kernel", lambda: None)
-        result = fn(*args, naive=route == "naive", **kwargs)
+    """Call a search entry point on one route and check that it ran there."""
+    result = fn(*args, naive=route == "naive", **kwargs)
     assert result.engine == route
     return result
 
@@ -374,14 +372,13 @@ def outcome(result):
 
 
 @needs_cc
-def test_three_routes_agree_on_counters_and_witness():
+def test_both_routes_agree_on_counters_and_witness():
     for grid in SWEEP:
-        results = [on_route(route, solve, grid) for route in ROUTES]
-        assert outcome(results[0]) == outcome(results[1]) == outcome(results[2]), grid
+        assert outcome(on_route("c", solve, grid)) == outcome(on_route("naive", solve, grid)), grid
 
 
 @needs_cc
-def test_three_routes_reproduce_the_anchored_9x7_pins():
+def test_both_routes_reproduce_the_anchored_9x7_pins():
     for route in ROUTES:
         result = on_route(route, solve, ANCHORED_9X7)
         assert result.status == UNSAT
@@ -411,12 +408,12 @@ def test_kernel_chains_match_python_route_at_every_hop(stride):
     for grid in SWEEP:
         one_shot = solve(grid)
         hops, final = chain("c", grid, stride)
-        py_hops, py_final = chain("python", grid, stride)
+        ref_hops, ref_final = chain("naive", grid, stride)
         assert (final.status, final.stats.nodes, final.coloring) == (
             one_shot.status, one_shot.stats.nodes, one_shot.coloring,
         ), grid
-        assert (hops, outcome(final)) == (py_hops, outcome(py_final)), grid
-        assert rolling("c", grid, stride) == rolling("python", grid, stride), grid
+        assert (hops, outcome(final)) == (ref_hops, outcome(ref_final)), grid
+        assert rolling("c", grid, stride) == rolling("naive", grid, stride), grid
 
 
 @needs_cc
@@ -425,10 +422,10 @@ def test_kernel_chain_on_anchored_9x7_matches_python_route():
     hops, final = chain("c", ANCHORED_9X7, stride)
     assert (final.status, final.stats.nodes) == (UNSAT, PINNED_9X7["nodes"])
     assert len(hops) == PINNED_9X7["nodes"] // stride
-    assert [h[:2] for h in hops] == rolling("python", ANCHORED_9X7, stride)
+    assert [h[:2] for h in hops] == rolling("naive", ANCHORED_9X7, stride)
 
 
-@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "python", "naive"])
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
 def test_tampered_checkpoint_is_rejected_on_every_route(route):
     grid = GridSpec(4, 4, 4)
     good = on_route(route, solve, grid, suspend_at=50).checkpoint.to_dict()
@@ -458,14 +455,14 @@ def test_kernel_is_built_once_into_the_cache(kernel_cache):
     assert sorted(kernel_cache.iterdir()) == built
 
 
-def assert_cli_runs_on_python(capfd):
-    """``packlat solve`` reports the Python route, exact counters, a clean stderr."""
+def cli_report(capfd):
+    """``packlat solve`` on 4x4 k=4: exit 10, pinned counters, a clean stderr."""
     code = main(["solve", "--width", "4", "--height", "4", "--k", "4"])
     out, err = capfd.readouterr()  # file descriptors: a compiler's output shows too
     assert (code, err) == (10, "")
     report = json.loads(out)
-    assert report["volatile"]["engine"] == "python"
-    assert report["stats"] == solve(GridSpec(4, 4, 4), naive=True).stats.counters()
+    assert report["stats"] == PINNED_4X4
+    return report
 
 
 @pytest.mark.parametrize("compiler", ["packlat-no-such-compiler", "false"])
@@ -473,40 +470,46 @@ def test_missing_or_failing_compiler_falls_back_to_python(
     kernel_cache, monkeypatch, capfd, compiler,
 ):
     monkeypatch.setattr(search, "_KERNEL_CC", (compiler,))
-    assert_cli_runs_on_python(capfd)
+    assert cli_report(capfd)["volatile"]["engine"] == "naive"
     assert list(kernel_cache.iterdir()) == []  # no half-built file left behind
 
 
-@needs_cc
-def test_truncated_cached_kernel_falls_back_to_python(kernel_cache, capfd):
-    lib = search._build_kernel(kernel_cache, search._kernel_key())
+def damaged_kernel(cache):
+    lib = search._build_kernel(cache, search._kernel_key())
     lib.write_bytes(lib.read_bytes()[: lib.stat().st_size // 2])
-    assert_cli_runs_on_python(capfd)
+    return lib
+
+
+@needs_cc
+def test_damaged_cached_kernel_is_rebuilt(kernel_cache, capfd):
+    damaged = damaged_kernel(kernel_cache).read_bytes()
+    assert cli_report(capfd)["volatile"]["engine"] == "c"
+    (lib,) = kernel_cache.iterdir()
+    assert lib.read_bytes() != damaged
+    assert search._intact(lib, search._kernel_key())
+
+
+@needs_cc
+def test_truncated_cached_kernel_falls_back_to_python(kernel_cache, monkeypatch, capfd):
+    # damaged in the cache and no compiler on PATH to rebuild it
+    damaged_kernel(kernel_cache)
+    monkeypatch.setenv("PATH", str(kernel_cache / "no-such-dir"))
+    assert cli_report(capfd)["volatile"]["engine"] == "naive"
+    assert list(kernel_cache.iterdir()) == []
 
 
 def test_colors_wider_than_the_kernel_word_run_on_python():
-    grid = GridSpec(2, 2, search._KERNEL_COLORS + 1)
-    result = solve(grid)
-    assert result.engine == "python"
-    assert outcome(result) == outcome(solve(grid, naive=True))
+    wide = solve(GridSpec(2, 2, search._KERNEL_COLORS + 1))
+    assert wide.engine == "naive"
+    assert outcome(wide) == outcome(solve(GridSpec(2, 2, 3)))
 
 
 @needs_cc
 def test_kernel_backtracks_past_the_top_bit_of_its_word():
     # only color 32 fits the first cell and nothing fits the second, so
     # the search must leave the first cell with every color tried
-    grid = GridSpec(1, 2, search._KERNEL_COLORS)
-    counters = {}
-    for route in ("c", "python"):
-        with pytest.MonkeyPatch.context() as mp:
-            if route == "python":
-                mp.setattr(search, "_load_kernel", lambda: None)
-            engine = search._Engine(grid)
-        assert engine.route == route
-        if route == "c":
-            engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
-        else:
-            engine.mask = 0xFFFFFFFF_7FFFFFFF
-        assert engine.run(suspend_at=10) == UNSAT  # a wrapped shift loops
-        counters[route] = (engine.nodes, engine.tests, engine.calls, engine.max_pos)
-    assert counters["c"] == counters["python"] == (1, 64, 2, 1)
+    engine = search._Engine(GridSpec(1, 2, search._KERNEL_COLORS))
+    assert engine.route == "c"
+    engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
+    assert engine.run(suspend_at=10) == UNSAT  # a wrapped shift loops
+    assert (engine.nodes, engine.tests, engine.calls, engine.max_pos) == (1, 64, 2, 1)
