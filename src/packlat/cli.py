@@ -19,6 +19,7 @@ import platform
 import signal
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from packlat import __version__
@@ -58,6 +59,7 @@ CONVENTION = (
 
 STATUS_EXIT = {SAT: 0, UNSAT: 10, INTERRUPTED: 20}
 EXIT_VIOLATION = 11
+_GRID_FILE_HELP = "grid spec JSON file (alternative to --width/--height/--k)"
 MANIFEST_VERSION = 1
 
 
@@ -71,12 +73,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_grid_args(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
-    if with_file:
-        parser.add_argument(
-            "grid_file", nargs="?", default=None,
-            help="grid spec JSON file (alternative to --width/--height/--k)",
-        )
+def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--width", type=int, help="window columns")
     parser.add_argument("--height", type=int, help="window rows")
     parser.add_argument("--k", type=int, help="color budget")
@@ -84,6 +81,19 @@ def _add_grid_args(parser: argparse.ArgumentParser, with_file: bool = True) -> N
         "--anchor", action="append", default=[], metavar="COL,ROW,COLOR",
         help="precolored cell, repeatable",
     )
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The options of a sequential run, shared by solve and resume."""
+    parser.add_argument("--naive-check", action="store_true",
+                        help="use the ball-rescan admissibility test "
+                             "(slow, for differential runs)")
+    parser.add_argument("--checkpoint-every", type=int, default=None, metavar="NODES")
+    parser.add_argument("--checkpoint-file", default=None)
+    parser.add_argument("--witness-file", default=None)
+    parser.add_argument("--progress-every", type=int,
+                        default=DEFAULT_PROGRESS_EVERY, metavar="NODES",
+                        help="stderr status line interval in nodes")
 
 
 def _parse_anchor(text: str) -> tuple[Position, int]:
@@ -110,6 +120,23 @@ def _grid_from_args(args) -> GridSpec:
     return GridSpec(args.width, args.height, args.k, anchors)
 
 
+def _coloring_from_args(args) -> tuple[GridSpec | None, GridSpec, list[list[int]]]:
+    """The grid given by --grid or flags (None if neither), and the coloring file's."""
+    grid = None
+    if args.grid_file or args.width or args.height or args.k or args.anchor:
+        grid = _grid_from_args(args)
+    return (grid, *load_coloring(Path(args.coloring).read_text(encoding="utf-8"), grid))
+
+
+@contextlib.contextmanager
+def _json_file(path):
+    """Read a JSON file, naming it in any error its content causes."""
+    try:
+        yield json.loads(Path(path).read_text(encoding="utf-8"))
+    except (MalformedInput, json.JSONDecodeError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
 def _volatile(t0_wall: float, elapsed: float, engine: str | None) -> dict:
     return {
         "started_at_unix": t0_wall,
@@ -130,45 +157,54 @@ def lower_bound_note(grid: GridSpec) -> dict:
     w, h = grid.width, grid.height
     claim = f"packing chromatic number of the infinite square lattice >= {k + 1}"
     if not grid.anchors:
-        return {
-            "claim": claim,
-            "argument": (
-                f"A packing {k}-coloring of the infinite square lattice would "
-                f"restrict to a packing {k}-coloring of any {w}x{h} window, "
-                f"because rectangular windows preserve lattice distances. The "
-                f"exhausted search shows no such window coloring exists."
-            ),
-            "assumption": None,
-        }
-    if len(grid.anchors) == 1:
+        argument = (
+            f"A packing {k}-coloring of the infinite square lattice would "
+            f"restrict to a packing {k}-coloring of any {w}x{h} window, "
+            f"because rectangular windows preserve lattice distances. The "
+            f"exhausted search shows no such window coloring exists."
+        )
+        assumption = None
+    elif len(grid.anchors) == 1:
         (pos, color), = grid.anchors
-        return {
-            "claim": claim,
-            "argument": (
-                f"If a packing {k}-coloring of the infinite square lattice "
-                f"put color {color} on any cell, the {w}x{h} window taken "
-                f"around that cell, placed at (col {pos.col}, row {pos.row}), "
-                f"would be a packing {k}-coloring of the window extending the "
-                f"anchor. The exhausted search shows no such window coloring "
-                f"exists."
-            ),
-            "assumption": (
-                f"every packing {k}-coloring of the lattice uses color "
-                f"{color} somewhere; this premise is assumed here, not proved"
-            ),
-        }
-    return {
-        "claim": claim,
-        "argument": (
+        argument = (
+            f"If a packing {k}-coloring of the infinite square lattice "
+            f"put color {color} on any cell, the {w}x{h} window taken "
+            f"around that cell, placed at (col {pos.col}, row {pos.row}), "
+            f"would be a packing {k}-coloring of the window extending the "
+            f"anchor. The exhausted search shows no such window coloring "
+            f"exists."
+        )
+        assumption = (
+            f"every packing {k}-coloring of the lattice uses color "
+            f"{color} somewhere; this premise is assumed here, not proved"
+        )
+    else:
+        argument = (
             f"No packing {k}-coloring of the {w}x{h} window realizes the "
             f"anchor pattern, so no packing {k}-coloring of the lattice "
             f"contains a window matching it."
-        ),
-        "assumption": (
+        )
+        assumption = (
             f"every packing {k}-coloring of the lattice realizes the anchor "
             f"pattern in some window placement; this premise is assumed "
             f"here, not proved"
-        ),
+        )
+    return {"claim": claim, "argument": argument, "assumption": assumption}
+
+
+def _report(grid: GridSpec, mode: str, status: str, stats: dict, witness, **fields) -> dict:
+    """The fields every run and merge report carries, plus the given ones."""
+    return {
+        "tool": "packlat",
+        "version": __version__,
+        "convention": CONVENTION,
+        "grid": grid.to_dict(),
+        "mode": mode,
+        "status": status,
+        "stats": stats,
+        "witness": witness,
+        "lower_bound": lower_bound_note(grid) if status == UNSAT else None,
+        **fields,
     }
 
 
@@ -180,30 +216,12 @@ def build_report(
     t0_wall: float,
     extra: dict | None = None,
 ) -> dict:
-    report = {
-        "tool": "packlat",
-        "version": __version__,
-        "convention": CONVENTION,
-        "grid": grid.to_dict(),
-        "mode": mode,
-        "flags": flags,
-        "status": result.status,
-        "stats": result.stats.counters(),
-        "witness": result.coloring,
-        "lower_bound": lower_bound_note(grid) if result.status == UNSAT else None,
-        "volatile": _volatile(t0_wall, result.stats.elapsed, result.engine),
-    }
+    report = _report(
+        grid, mode, result.status, result.stats.counters(), result.coloring, flags=flags,
+        volatile=_volatile(t0_wall, result.stats.elapsed, result.engine),
+    )
     if result.parallel is not None:
-        report["parallel"] = {
-            "depth": result.parallel.depth,
-            "units": result.parallel.units,
-            "unit_nodes_total": result.parallel.unit_nodes_total,
-            "emitted_prefix_assignments": result.parallel.emitted_prefix_assignments,
-            "prefix_overhead": result.parallel.prefix_overhead,
-            "count_reproducible": result.parallel.count_reproducible,
-            "early_exit": result.parallel.early_exit,
-            "workers": result.parallel.workers,
-        }
+        report["parallel"] = asdict(result.parallel)
     if extra:
         report.update(extra)
     return report
@@ -252,8 +270,8 @@ def _progress_printer(t0: float):
     return on_progress
 
 
-def _run_sequential(args, grid: GridSpec, from_checkpoint: Checkpoint | None):
-    """Shared driver for cmd_solve (seq) and cmd_resume."""
+def _run_sequential(args, search, start):
+    """Shared driver for cmd_solve (seq) and cmd_resume: ``search(start, ...)``."""
     checkpoint_file = args.checkpoint_file
     if args.checkpoint_every and not checkpoint_file:
         raise _UsageError("--checkpoint-every needs --checkpoint-file")
@@ -269,7 +287,8 @@ def _run_sequential(args, grid: GridSpec, from_checkpoint: Checkpoint | None):
     t0 = time.perf_counter()
     old_handler = signal.signal(signal.SIGINT, _handler)
     try:
-        kwargs = dict(
+        return search(
+            start,
             naive=args.naive_check,
             checkpoint_every=args.checkpoint_every,
             on_checkpoint=on_checkpoint if args.checkpoint_every else None,
@@ -277,13 +296,8 @@ def _run_sequential(args, grid: GridSpec, from_checkpoint: Checkpoint | None):
             on_progress=_progress_printer(t0),
             interrupted=lambda: flag["hit"],
         )
-        if from_checkpoint is None:
-            result = solve(grid, **kwargs)
-        else:
-            result = resume(from_checkpoint, **kwargs)
     finally:
         signal.signal(signal.SIGINT, old_handler)
-    return result
 
 
 def _finish_run(args, grid: GridSpec, mode: str, flags: dict, result: SolveResult,
@@ -322,14 +336,14 @@ def cmd_solve(args) -> int:
             grid, depth, workers=args.workers, early_exit=args.early_exit
         )
     else:
-        result = _run_sequential(args, grid, from_checkpoint=None)
+        result = _run_sequential(args, solve, grid)
     return _finish_run(args, grid, args.mode, flags, result, t0_wall, {},
                        args.checkpoint_file or "packlat-interrupted.checkpoint.json")
 
 
 def cmd_resume(args) -> int:
-    data = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
-    checkpoint = Checkpoint.from_dict(data)
+    with _json_file(args.checkpoint) as data:
+        checkpoint = Checkpoint.from_dict(data)
     grid = checkpoint.grid
     t0_wall = time.time()
     flags = {
@@ -338,17 +352,13 @@ def cmd_resume(args) -> int:
         "resumed_from_nodes": checkpoint.nodes,
         "checkpoint_every": args.checkpoint_every,
     }
-    result = _run_sequential(args, grid, from_checkpoint=checkpoint)
+    result = _run_sequential(args, resume, checkpoint)
     return _finish_run(args, grid, "resume", flags, result, t0_wall, {},
                        args.checkpoint_file or args.checkpoint)
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.coloring).read_text(encoding="utf-8")
-    grid = None
-    if args.grid_file or args.width or args.height or args.k or args.anchor:
-        grid = _grid_from_args(args)
-    file_grid, rows = load_coloring(text, grid)
+    grid, file_grid, rows = _coloring_from_args(args)
     if grid is not None and file_grid != grid:
         raise MalformedInput("coloring file's embedded grid disagrees with flags")
     violation = verify(file_grid, rows)
@@ -392,16 +402,15 @@ def cmd_split(args) -> int:
         "assignments_at_emission": list(result.assignments_at_emission),
         "unit_files": unit_files,
     }
-    (out_dir / "split.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    (out_dir / "split.json").write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 
 def cmd_solve_unit(args) -> int:
-    data = json.loads(Path(args.unit).read_text(encoding="utf-8"))
-    unit = WorkUnit.from_dict(data)
+    with _json_file(args.unit) as data:
+        unit = WorkUnit.from_dict(data)
     t0_wall = time.time()
     result = solve_unit(unit, naive=args.naive_check)
     flags = {"mode": "unit", "naive_check": bool(args.naive_check)}
@@ -409,78 +418,68 @@ def cmd_solve_unit(args) -> int:
                        {"unit": {"prefix": list(unit.prefix)}})
 
 
-def _fields(data: object, path: str, *keys: str) -> list:
-    """The named fields of a JSON object read from ``path``."""
+def _fields(data: object, *keys: str) -> list:
+    """The named fields of a JSON object."""
     if not isinstance(data, dict):
-        raise MalformedInput(f"{path}: not a JSON object")
+        raise MalformedInput("not a JSON object")
     for key in keys:
         if key not in data:
-            raise MalformedInput(f'{path}: no "{key}" field')
+            raise MalformedInput(f'no "{key}" field')
     return [data[key] for key in keys]
 
 
 def cmd_merge(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    (version,) = _fields(manifest, args.manifest, "version")
-    if version != MANIFEST_VERSION:
-        raise MalformedInput(f"unsupported split manifest version {version!r}")
-    grid_dict, n_units, depth, emitted, overhead, at_emission = _fields(
-        manifest, args.manifest, "grid", "units", "depth",
-        "emitted_prefix_assignments", "prefix_overhead", "assignments_at_emission",
-    )
-    grid = GridSpec.from_dict(grid_dict)
-    outcomes = []
+    """Merge unit reports that are exactly the units the split manifest lists."""
+    with _json_file(args.manifest) as manifest:
+        (version,) = _fields(manifest, "version")
+        if version != MANIFEST_VERSION:
+            raise MalformedInput(f"unsupported split manifest version {version!r}")
+        grid_dict, depth, emitted, overhead, at_emission, unit_files = _fields(
+            manifest, "grid", "depth", "emitted_prefix_assignments",
+            "prefix_overhead", "assignments_at_emission", "unit_files",
+        )
+        grid = GridSpec.from_dict(grid_dict)
+        if not isinstance(unit_files, list) or not all(isinstance(n, str) for n in unit_files):
+            raise MalformedInput('"unit_files" is not a list of file names')
+    units = []
+    for name in unit_files:
+        with _json_file(Path(args.manifest).parent / name) as data:
+            units.append(WorkUnit.from_dict(data))
+            if units[-1].grid != grid or len(units[-1].prefix) != depth:
+                raise MalformedInput(f"not a unit of a depth-{depth} split of this grid")
+    expected = set(units)
+    outcomes: dict[tuple[int, ...], UnitOutcome] = {}
     for path in args.reports:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
-        report_grid, unit, status, stats = _fields(
-            report, path, "grid", "unit", "status", "stats"
-        )
-        if GridSpec.from_dict(report_grid) != grid:
-            raise MalformedInput(f"report {path} is for a different grid")
-        (prefix,), (nodes,) = _fields(unit, path, "prefix"), _fields(stats, path, "nodes")
-        outcomes.append(
-            UnitOutcome(
-                prefix=tuple(prefix),
-                status=status,
-                nodes=nodes,
-                coloring=report.get("witness"),
-                tests=stats.get("tests", 0),
-                calls=stats.get("calls", 0),
-                max_depth=stats.get("max_depth", 0),
-            )
-        )
-    units = tuple(
-        WorkUnit(grid, o.prefix) for o in sorted(outcomes, key=lambda o: o.prefix)
-    )
-    if len(units) != n_units:
-        raise MalformedInput(
-            f"{len(units)} unit reports for a split of {n_units} units"
-        )
+        with _json_file(path) as report:
+            report_grid, unit, status, stats = _fields(report, "grid", "unit", "status", "stats")
+            (prefix,), (nodes,) = _fields(unit, "prefix"), _fields(stats, "nodes")
+            unit = WorkUnit.from_dict({"grid": report_grid, "prefix": prefix})
+            if unit not in expected:
+                raise MalformedInput(f"unit {list(unit.prefix)} is not in the split")
+            if unit.prefix in outcomes:
+                raise MalformedInput(f"a second report for unit {list(unit.prefix)}")
+            if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
+                raise MalformedInput(f"stats.nodes {nodes!r} is not a non-negative integer")
+            witness = report.get("witness")
+            if status == SAT and (violation := verify(grid, witness)) is not None:
+                raise MalformedInput(f"SAT witness breaks the rule for color {violation.color}")
+        outcomes[unit.prefix] = UnitOutcome(unit.prefix, status, nodes, witness)
     split_result = SplitResult(
-        units=units,
+        units=tuple(units),
         depth=depth,
         emitted_prefix_assignments=emitted,
         prefix_overhead=overhead,
         assignments_at_emission=tuple(at_emission),
     )
-    status, coloring, sequential, unit_total = merge_outcomes(split_result, outcomes)
-    merged = {
-        "tool": "packlat",
-        "version": __version__,
-        "convention": CONVENTION,
-        "grid": grid.to_dict(),
-        "mode": "merge",
-        "status": status,
-        "witness": coloring,
-        "stats": {"nodes": sequential},
-        "merge": {
-            "units": len(outcomes),
-            "unit_nodes_total": unit_total,
-            "emitted_prefix_assignments": emitted,
-            "prefix_overhead": overhead,
-        },
-        "lower_bound": lower_bound_note(grid) if status == UNSAT else None,
-    }
+    status, coloring, sequential, unit_total = merge_outcomes(
+        split_result, list(outcomes.values())
+    )
+    merged = _report(grid, "merge", status, {"nodes": sequential}, coloring, merge={
+        "units": len(outcomes),
+        "unit_nodes_total": unit_total,
+        "emitted_prefix_assignments": emitted,
+        "prefix_overhead": overhead,
+    })
     if args.expect_sequential_nodes is not None:
         if sequential != args.expect_sequential_nodes:
             print(
@@ -495,11 +494,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = Path(args.coloring).read_text(encoding="utf-8")
-    grid = None
-    if args.grid_file or args.width or args.height or args.k or args.anchor:
-        grid = _grid_from_args(args)
-    _, rows = load_coloring(text, grid)
+    _, _, rows = _coloring_from_args(args)
     rendered = render_svg(rows) if args.format == "svg" else format_coloring_text(rows)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -518,6 +513,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="search a window for a packing coloring")
+    p_solve.add_argument("grid_file", nargs="?", default=None, help=_GRID_FILE_HELP)
     _add_grid_args(p_solve)
     p_solve.add_argument("--mode", choices=["seq", "par"], default="seq")
     p_solve.add_argument("--split-depth", type=int, default=None,
@@ -528,26 +524,14 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--early-exit", action="store_true",
                          help="parallel mode: stop at the first SAT unit "
                               "(node counts no longer reproduce sequential)")
-    p_solve.add_argument("--naive-check", action="store_true",
-                         help="use the ball-rescan admissibility test "
-                              "(slow, for differential runs)")
-    p_solve.add_argument("--checkpoint-every", type=int, default=None, metavar="NODES")
-    p_solve.add_argument("--checkpoint-file", default=None)
-    p_solve.add_argument("--witness-file", default=None)
-    p_solve.add_argument("--progress-every", type=int,
-                         default=DEFAULT_PROGRESS_EVERY, metavar="NODES",
-                         help="stderr status line interval in nodes")
+    _add_run_args(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a complete coloring file")
     p_verify.add_argument("coloring", help="coloring file (text or JSON)")
     p_verify.add_argument("--grid", dest="grid_file", default=None,
                           help="grid spec JSON file for text colorings")
-    p_verify.add_argument("--width", type=int)
-    p_verify.add_argument("--height", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--anchor", action="append", default=[],
-                          metavar="COL,ROW,COLOR")
+    _add_grid_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_chi = sub.add_parser("chi", help="exact packing chromatic number of a "
@@ -559,6 +543,7 @@ def _build_parser() -> _Parser:
     p_chi.set_defaults(func=cmd_chi)
 
     p_split = sub.add_parser("split", help="cut the search into work units")
+    p_split.add_argument("grid_file", nargs="?", default=None, help=_GRID_FILE_HELP)
     _add_grid_args(p_split)
     p_split.add_argument("--split-depth", type=int, required=True)
     p_split.add_argument("--out-dir", default="units")
@@ -572,12 +557,7 @@ def _build_parser() -> _Parser:
 
     p_resume = sub.add_parser("resume", help="continue from a checkpoint file")
     p_resume.add_argument("checkpoint")
-    p_resume.add_argument("--naive-check", action="store_true")
-    p_resume.add_argument("--checkpoint-every", type=int, default=None)
-    p_resume.add_argument("--checkpoint-file", default=None)
-    p_resume.add_argument("--witness-file", default=None)
-    p_resume.add_argument("--progress-every", type=int,
-                          default=DEFAULT_PROGRESS_EVERY)
+    _add_run_args(p_resume)
     p_resume.set_defaults(func=cmd_resume)
 
     p_merge = sub.add_parser("merge", help="combine unit reports, checking "
@@ -591,11 +571,7 @@ def _build_parser() -> _Parser:
     p_render = sub.add_parser("render", help="draw a coloring as text or SVG")
     p_render.add_argument("coloring")
     p_render.add_argument("--grid", dest="grid_file", default=None)
-    p_render.add_argument("--width", type=int)
-    p_render.add_argument("--height", type=int)
-    p_render.add_argument("--k", type=int)
-    p_render.add_argument("--anchor", action="append", default=[],
-                          metavar="COL,ROW,COLOR")
+    _add_grid_args(p_render)
     p_render.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p_render.add_argument("--out", default=None)
     p_render.set_defaults(func=cmd_render)
@@ -611,10 +587,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"packlat: usage error: {exc}", file=sys.stderr)
         return 1
-    except PacklatError as exc:
-        print(f"packlat: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (PacklatError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"packlat: error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -27,6 +27,16 @@ class Violation:
     color: int
 
 
+def _check_shape(grid: GridSpec, rows: object) -> None:
+    """Raise MalformedInput unless rows is ``height`` lists of ``width`` entries."""
+    if not isinstance(rows, list) or len(rows) != grid.height or any(
+        not isinstance(r, list) or len(r) != grid.width for r in rows
+    ):
+        raise MalformedInput(
+            f"coloring shape does not match {grid.width}x{grid.height} window"
+        )
+
+
 def verify(grid: GridSpec, rows: list[list[int]]) -> Violation | None:
     """Check a complete coloring against the packing rule, from scratch.
 
@@ -35,10 +45,7 @@ def verify(grid: GridSpec, rows: list[list[int]]) -> Violation | None:
     Raises MalformedInput when the shape, color range, or anchors disagree
     with the grid.
     """
-    if len(rows) != grid.height or any(len(r) != grid.width for r in rows):
-        raise MalformedInput(
-            f"coloring shape does not match {grid.width}x{grid.height} window"
-        )
+    _check_shape(grid, rows)
     flat: list[int] = []
     for row in rows:
         for value in row:
@@ -77,10 +84,7 @@ def parse_coloring_text(text: str, grid: GridSpec) -> list[list[int]]:
                 rows.append([int(tok) for tok in line.split()])
             except ValueError as exc:
                 raise MalformedInput(f"bad coloring line {line!r}") from exc
-    if len(rows) != grid.height or any(len(r) != grid.width for r in rows):
-        raise MalformedInput(
-            f"coloring shape does not match {grid.width}x{grid.height} window"
-        )
+    _check_shape(grid, rows)
     return rows
 
 
@@ -93,16 +97,11 @@ def coloring_from_dict(data: object) -> tuple[GridSpec, list[list[int]]]:
         raise MalformedInput('coloring JSON must have "grid" and "colors"')
     grid = GridSpec.from_dict(data["grid"])
     colors = data["colors"]
-    if not isinstance(colors, list) or not all(isinstance(r, list) for r in colors):
-        raise MalformedInput('"colors" must be a list of rows')
+    _check_shape(grid, colors)
     try:
         rows = [[int(v) for v in row] for row in colors]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"bad color value: {exc}") from exc
-    if len(rows) != grid.height or any(len(r) != grid.width for r in rows):
-        raise MalformedInput(
-            f"coloring shape does not match {grid.width}x{grid.height} window"
-        )
     return grid, rows
 
 

@@ -446,9 +446,6 @@ class _Engine:
         w = self.grid.width
         return [colors[r * w:(r + 1) * w] for r in range(self.grid.height)]
 
-    def max_depth(self) -> int:
-        return self.tables.frontier_cells(self.max_pos)
-
     def run(
         self,
         floor: int = 0,
@@ -565,12 +562,19 @@ class _Engine:
         return status
 
 
-def _finish(engine: _Engine, status: str, t0: float) -> SolveResult:
+def _search(grid: GridSpec, naive: bool, decisions=(), error_cls=None, nodes: int = 0,
+            floor: int = 0, **events) -> SolveResult:
+    """Replay ``decisions`` on a fresh engine, then run it from ``nodes`` on."""
+    t0 = time.perf_counter()
+    engine = _Engine(grid, naive=naive)
+    engine.replay(decisions, error_cls)
+    engine.nodes = nodes
+    status = engine.run(floor, **events)
     stats = SearchStats(
         nodes=engine.nodes,
         tests=engine.tests,
         calls=engine.calls,
-        max_depth=engine.max_depth(),
+        max_depth=engine.tables.frontier_cells(engine.max_pos),
         elapsed=time.perf_counter() - t0,
         status=status,
     )
@@ -616,17 +620,9 @@ def solve(
         interrupted: zero-argument callable polled every 65536 nodes; a
             true result suspends the search with a checkpoint.
     """
-    t0 = time.perf_counter()
-    engine = _Engine(grid, naive=naive)
-    status = engine.run(
-        suspend_at=suspend_at,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-        progress_every=progress_every,
-        on_progress=on_progress,
-        interrupted=interrupted,
-    )
-    return _finish(engine, status, t0)
+    return _search(grid, naive, suspend_at=suspend_at, checkpoint_every=checkpoint_every,
+                   on_checkpoint=on_checkpoint, progress_every=progress_every,
+                   on_progress=on_progress, interrupted=interrupted)
 
 
 def resume(
@@ -644,28 +640,16 @@ def resume(
     Only the node counter carries across a suspension; tests, calls,
     max_depth and elapsed restart from the resume point.
     """
-    t0 = time.perf_counter()
-    engine = _Engine(checkpoint.grid, naive=naive)
-    engine.replay(checkpoint.branch, CorruptCheckpoint)
-    engine.nodes = checkpoint.nodes
-    status = engine.run(
-        suspend_at=suspend_at,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-        progress_every=progress_every,
-        on_progress=on_progress,
-        interrupted=interrupted,
-    )
-    return _finish(engine, status, t0)
+    return _search(checkpoint.grid, naive, checkpoint.branch, CorruptCheckpoint,
+                   checkpoint.nodes, suspend_at=suspend_at,
+                   checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
+                   progress_every=progress_every, on_progress=on_progress,
+                   interrupted=interrupted)
 
 
 def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
     """Search one work unit's subtree; nodes count only below the prefix."""
-    t0 = time.perf_counter()
-    engine = _Engine(unit.grid, naive=naive)
-    engine.replay(unit.prefix, CorruptUnit)
-    status = engine.run(floor=len(unit.prefix))
-    return _finish(engine, status, t0)
+    return _search(unit.grid, naive, unit.prefix, CorruptUnit, floor=len(unit.prefix))
 
 
 def split(grid: GridSpec, depth: int) -> SplitResult:
@@ -751,16 +735,8 @@ def merge_outcomes(
 
 def _unit_worker(unit: WorkUnit) -> UnitOutcome:
     result = solve_unit(unit)
-    return UnitOutcome(
-        prefix=unit.prefix,
-        status=result.status,
-        nodes=result.stats.nodes,
-        coloring=result.coloring,
-        tests=result.stats.tests,
-        calls=result.stats.calls,
-        max_depth=result.stats.max_depth,
-        engine=result.engine,
-    )
+    return UnitOutcome(prefix=unit.prefix, status=result.status, coloring=result.coloring,
+                       engine=result.engine, **result.stats.counters())
 
 
 def default_workers() -> int:
@@ -797,44 +773,27 @@ def solve_parallel(
 
     outcomes: list[UnitOutcome] = []
     early_hit = False
-    if not split_result.units:
-        pass
-    elif workers == 1:
-        for unit in split_result.units:
-            outcome = _unit_worker(unit)
+    with contextlib.ExitStack() as stack:
+        run_units = map
+        if workers > 1:
+            _load_kernel()  # build or load once here, not in every worker
+            pool = stack.enter_context(multiprocessing.get_context().Pool(workers))
+            # imap_unordered yields the first SAT as soon as any worker finds it
+            run_units = pool.imap_unordered if early_exit else pool.map
+        for outcome in run_units(_unit_worker, split_result.units):
             outcomes.append(outcome)
             if early_exit and outcome.status == SAT:
                 early_hit = True
-                break
-    else:
-        _load_kernel()  # build or load once here, not in every worker
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
-            if early_exit:
-                for outcome in pool.imap_unordered(
-                    _unit_worker, split_result.units
-                ):
-                    outcomes.append(outcome)
-                    if outcome.status == SAT:
-                        early_hit = True
-                        pool.terminate()
-                        break
-            else:
-                outcomes = list(pool.map(_unit_worker, split_result.units))
+                break  # leaving the block terminates the pool
 
     elapsed = time.perf_counter() - t0
     unit_total = sum(o.nodes for o in outcomes)
-    if early_hit:
-        sat = min(
-            (o for o in outcomes if o.status == SAT), key=lambda o: o.prefix
-        )
-        status, coloring, sequential = SAT, sat.coloring, unit_total
-        reproducible = False
+    if early_hit:  # the loop stopped at the one SAT outcome it holds
+        status, coloring, sequential = SAT, outcomes[-1].coloring, unit_total
     else:
         status, coloring, sequential, unit_total = merge_outcomes(
             split_result, outcomes
         )
-        reproducible = True
     stats = SearchStats(
         nodes=sequential,
         tests=sum(o.tests for o in outcomes),
@@ -849,7 +808,7 @@ def solve_parallel(
         unit_nodes_total=unit_total,
         emitted_prefix_assignments=split_result.emitted_prefix_assignments,
         prefix_overhead=split_result.prefix_overhead,
-        count_reproducible=reproducible,
+        count_reproducible=not early_hit,
         early_exit=early_exit,
         workers=workers,
     )

@@ -260,30 +260,63 @@ def test_merge_rejects_missing_units(capsys, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("damage,message", [
-    ("report without unit", 'no "unit" field'),
-    ("report not an object", "not a JSON object"),
-    ("manifest without grid", 'no "grid" field'),
-], ids=["report-without-unit", "report-not-an-object", "manifest-without-grid"])
-def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damage, message):
+MERGE_DAMAGE = {
+    "report-without-unit": ("report", 'no "unit" field'),
+    "report-not-an-object": ("report", "not a JSON object"),
+    "manifest-without-grid": ("manifest", 'no "grid" field'),
+    "prefix-not-a-list": ("report", "bad work unit prefix: 'int' object is not iterable"),
+    "prefix-not-integers": (
+        "report", "bad work unit prefix: invalid literal for int() with base 10: 'a'"),
+    "prefix-outside-the-split": ("report", "unit [7] is not in the split"),
+    "nodes-not-an-integer": ("report", "stats.nodes 'x' is not a non-negative integer"),
+    "duplicate-report": ("report", "a second report for unit [1]"),
+    "sat-witness-breaks-the-rule": ("report", "SAT witness breaks the rule for color 1"),
+    "sat-without-witness": ("report", "coloring shape does not match 1x2 window"),
+    "unit-file-of-another-depth": ("unit", "not a unit of a depth-1 split of this grid"),
+}
+
+
+@pytest.mark.parametrize("damage", list(MERGE_DAMAGE))
+def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damage):
     out_dir = tmp_path / "units"
     run(capsys, "split", "--width", "1", "--height", "2", "--k", "1",
         "--split-depth", "1", "--out-dir", str(out_dir))
     manifest_file, report_file = out_dir / "split.json", tmp_path / "report.json"
-    report_file.write_text(run(capsys, "solve-unit", str(out_dir / "unit_0000.json"))[1])
+    unit_file = out_dir / "unit_0000.json"
+    report_file.write_text(run(capsys, "solve-unit", str(unit_file))[1])
     assert run(capsys, "merge", str(manifest_file), str(report_file))[0] == 10
     manifest = json.loads(manifest_file.read_text())
     report = json.loads(report_file.read_text())
-    if damage == "report without unit":
+    unit = json.loads(unit_file.read_text())
+    reports = [report_file]
+    if damage == "report-without-unit":
         del report["unit"]
-    elif damage == "report not an object":
+    elif damage == "report-not-an-object":
         report = [1]
-    else:
+    elif damage == "manifest-without-grid":
         del manifest["grid"]
+    elif damage == "prefix-not-a-list":
+        report["unit"]["prefix"] = 5
+    elif damage == "prefix-not-integers":
+        report["unit"]["prefix"] = ["a"]
+    elif damage == "prefix-outside-the-split":
+        report["unit"]["prefix"] = [7]
+    elif damage == "nodes-not-an-integer":
+        report["stats"]["nodes"] = "x"
+    elif damage == "duplicate-report":
+        reports = [report_file, report_file]
+    elif damage == "sat-witness-breaks-the-rule":
+        report["status"], report["witness"] = "SAT", [[1], [1]]
+    elif damage == "sat-without-witness":
+        report["status"] = "SAT"
+    else:
+        unit["prefix"] = [1, 1]
     manifest_file.write_text(json.dumps(manifest))
     report_file.write_text(json.dumps(report))
-    code, out, err = run(capsys, "merge", str(manifest_file), str(report_file))
-    bad_file = manifest_file if damage.startswith("manifest") else report_file
+    unit_file.write_text(json.dumps(unit))
+    code, out, err = run(capsys, "merge", str(manifest_file), *map(str, reports))
+    where, message = MERGE_DAMAGE[damage]
+    bad_file = {"report": report_file, "manifest": manifest_file, "unit": unit_file}[where]
     assert (code, out, err) == (1, "", f"packlat: error: {bad_file}: {message}\n")
 
 

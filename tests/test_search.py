@@ -321,16 +321,23 @@ def test_progress_callback_cadence():
 
 
 def test_parallel_reproduces_sequential_counts():
-    for grid in (GridSpec(3, 3, 3), GridSpec(2, 2, 3), GridSpec(3, 3, 4)):
+    cases = [(grid, depth) for grid in (GridSpec(3, 3, 3), GridSpec(2, 2, 3), GridSpec(3, 3, 4))
+             for depth in (1, 2)]
+    # no prefix reaches the split depth: zero units, all work is split overhead
+    cases += [(GridSpec(1, 3, 1), 2), (GridSpec(2, 2, 2), 4)]
+    for grid, depth in cases:
         sequential = solve(grid)
-        for depth in (1, 2):
-            for workers in (1, 2):
-                parallel = solve_parallel(grid, depth, workers=workers)
-                assert parallel.status == sequential.status
-                assert parallel.stats.nodes == sequential.stats.nodes
-                assert parallel.parallel.count_reproducible
-                if parallel.status == SAT:
-                    assert parallel.coloring == sequential.coloring
+        for workers in (1, 2):
+            parallel = solve_parallel(grid, depth, workers=workers)
+            assert parallel.status == sequential.status
+            assert parallel.stats.nodes == sequential.stats.nodes
+            assert parallel.parallel.count_reproducible
+            if parallel.status == SAT:
+                assert parallel.coloring == sequential.coloring
+    for grid, depth, nodes in ((GridSpec(1, 3, 1), 2, 1), (GridSpec(2, 2, 2), 4, 5)):
+        parallel = solve_parallel(grid, depth, workers=2)
+        assert (parallel.parallel.units, parallel.status, parallel.stats.nodes) == (
+            0, UNSAT, nodes)
 
 
 def test_parallel_unit_sum_is_schedule_independent():
