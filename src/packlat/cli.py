@@ -30,7 +30,7 @@ from packlat.coloring import (
     verify,
 )
 from packlat.errors import MalformedInput, PacklatError
-from packlat.grid import GridSpec, Position
+from packlat.grid import GridSpec, Position, json_int
 from packlat.oracle import packing_chromatic_number
 from packlat.render import render_svg
 from packlat.search import (
@@ -40,10 +40,8 @@ from packlat.search import (
     UNSAT,
     Checkpoint,
     SolveResult,
-    SplitResult,
     UnitOutcome,
     WorkUnit,
-    default_workers,
     merge_outcomes,
     resume,
     solve,
@@ -109,8 +107,8 @@ def _parse_anchor(text: str) -> tuple[Position, int]:
 
 def _grid_from_args(args) -> GridSpec:
     if getattr(args, "grid_file", None):
-        text = Path(args.grid_file).read_text(encoding="utf-8")
-        grid = GridSpec.from_json(text)
+        with _input_file(args.grid_file) as data:
+            grid = GridSpec.from_dict(data)
         if args.anchor or args.width or args.height or args.k:
             raise MalformedInput("give either a grid file or flags, not both")
         return grid
@@ -125,14 +123,15 @@ def _coloring_from_args(args) -> tuple[GridSpec | None, GridSpec, list[list[int]
     grid = None
     if args.grid_file or args.width or args.height or args.k or args.anchor:
         grid = _grid_from_args(args)
-    return (grid, *load_coloring(Path(args.coloring).read_text(encoding="utf-8"), grid))
+    with _input_file(args.coloring, lambda text: load_coloring(text, grid)) as loaded:
+        return (grid, *loaded)
 
 
 @contextlib.contextmanager
-def _json_file(path):
-    """Read a JSON file, naming it in any error its content causes."""
+def _input_file(path, parse=json.loads):
+    """Read and parse a file, naming it in any error its content causes."""
     try:
-        yield json.loads(Path(path).read_text(encoding="utf-8"))
+        yield parse(Path(path).read_text(encoding="utf-8"))
     except (MalformedInput, json.JSONDecodeError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -321,7 +320,7 @@ def cmd_solve(args) -> int:
         "naive_check": bool(args.naive_check),
         "split_depth": args.split_depth,
         "checkpoint_every": args.checkpoint_every,
-        "early_exit": bool(args.early_exit),
+        "early_exit": False,
     }
     if args.mode == "par":
         if args.naive_check:
@@ -332,9 +331,7 @@ def cmd_solve(args) -> int:
                 "resumed per unit"
             )
         depth = args.split_depth if args.split_depth else 2
-        result = solve_parallel(
-            grid, depth, workers=args.workers, early_exit=args.early_exit
-        )
+        result = solve_parallel(grid, depth, workers=args.workers)
     else:
         result = _run_sequential(args, solve, grid)
     return _finish_run(args, grid, args.mode, flags, result, t0_wall, {},
@@ -342,7 +339,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    with _json_file(args.checkpoint) as data:
+    with _input_file(args.checkpoint) as data:
         checkpoint = Checkpoint.from_dict(data)
     grid = checkpoint.grid
     t0_wall = time.time()
@@ -409,7 +406,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_solve_unit(args) -> int:
-    with _json_file(args.unit) as data:
+    with _input_file(args.unit) as data:
         unit = WorkUnit.from_dict(data)
     t0_wall = time.time()
     result = solve_unit(unit, naive=args.naive_check)
@@ -429,28 +426,25 @@ def _fields(data: object, *keys: str) -> list:
 
 
 def cmd_merge(args) -> int:
-    """Merge unit reports that are exactly the units the split manifest lists."""
-    with _json_file(args.manifest) as manifest:
+    """Merge unit reports that are exactly the units of the split they came from.
+
+    The split is computed again from the manifest's grid and depth; its
+    other fields are informational and never read.
+    """
+    with _input_file(args.manifest) as manifest:
         (version,) = _fields(manifest, "version")
         if version != MANIFEST_VERSION:
             raise MalformedInput(f"unsupported split manifest version {version!r}")
-        grid_dict, depth, emitted, overhead, at_emission, unit_files = _fields(
-            manifest, "grid", "depth", "emitted_prefix_assignments",
-            "prefix_overhead", "assignments_at_emission", "unit_files",
-        )
+        grid_dict, depth = _fields(manifest, "grid", "depth")
         grid = GridSpec.from_dict(grid_dict)
-        if not isinstance(unit_files, list) or not all(isinstance(n, str) for n in unit_files):
-            raise MalformedInput('"unit_files" is not a list of file names')
-    units = []
-    for name in unit_files:
-        with _json_file(Path(args.manifest).parent / name) as data:
-            units.append(WorkUnit.from_dict(data))
-            if units[-1].grid != grid or len(units[-1].prefix) != depth:
-                raise MalformedInput(f"not a unit of a depth-{depth} split of this grid")
-    expected = set(units)
+        try:
+            split_result = split(grid, json_int(depth))
+        except ValueError as exc:
+            raise MalformedInput(f"bad split depth: {exc}") from exc
+    expected = set(split_result.units)
     outcomes: dict[tuple[int, ...], UnitOutcome] = {}
     for path in args.reports:
-        with _json_file(path) as report:
+        with _input_file(path) as report:
             report_grid, unit, status, stats = _fields(report, "grid", "unit", "status", "stats")
             (prefix,), (nodes,) = _fields(unit, "prefix"), _fields(stats, "nodes")
             unit = WorkUnit.from_dict({"grid": report_grid, "prefix": prefix})
@@ -458,27 +452,24 @@ def cmd_merge(args) -> int:
                 raise MalformedInput(f"unit {list(unit.prefix)} is not in the split")
             if unit.prefix in outcomes:
                 raise MalformedInput(f"a second report for unit {list(unit.prefix)}")
-            if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
-                raise MalformedInput(f"stats.nodes {nodes!r} is not a non-negative integer")
+            try:
+                if json_int(nodes) < 0:
+                    raise ValueError
+            except ValueError:
+                raise MalformedInput(
+                    f"stats.nodes {nodes!r} is not a non-negative integer") from None
             witness = report.get("witness")
             if status == SAT and (violation := verify(grid, witness)) is not None:
                 raise MalformedInput(f"SAT witness breaks the rule for color {violation.color}")
         outcomes[unit.prefix] = UnitOutcome(unit.prefix, status, nodes, witness)
-    split_result = SplitResult(
-        units=tuple(units),
-        depth=depth,
-        emitted_prefix_assignments=emitted,
-        prefix_overhead=overhead,
-        assignments_at_emission=tuple(at_emission),
-    )
     status, coloring, sequential, unit_total = merge_outcomes(
         split_result, list(outcomes.values())
     )
     merged = _report(grid, "merge", status, {"nodes": sequential}, coloring, merge={
         "units": len(outcomes),
         "unit_nodes_total": unit_total,
-        "emitted_prefix_assignments": emitted,
-        "prefix_overhead": overhead,
+        "emitted_prefix_assignments": split_result.emitted_prefix_assignments,
+        "prefix_overhead": split_result.prefix_overhead,
     })
     if args.expect_sequential_nodes is not None:
         if sequential != args.expect_sequential_nodes:
@@ -519,11 +510,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--split-depth", type=int, default=None,
                          help="prefix length for parallel work units")
     p_solve.add_argument("--workers", type=int, default=None,
-                         help=f"worker processes (default {default_workers()}, "
-                              f"capped by PACKLAT_THREADS)")
-    p_solve.add_argument("--early-exit", action="store_true",
-                         help="parallel mode: stop at the first SAT unit "
-                              "(node counts no longer reproduce sequential)")
+                         help="worker processes (default: one per CPU)")
     _add_run_args(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

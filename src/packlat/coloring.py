@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from packlat.errors import MalformedInput
-from packlat.grid import GridSpec, Position, distance
+from packlat.grid import GridSpec, Position, distance, json_int
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def coloring_from_dict(data: object) -> tuple[GridSpec, list[list[int]]]:
     colors = data["colors"]
     _check_shape(grid, colors)
     try:
-        rows = [[int(v) for v in row] for row in colors]
+        rows = [[json_int(v) for v in row] for row in colors]
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"bad color value: {exc}") from exc
     return grid, rows

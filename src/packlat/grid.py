@@ -23,6 +23,18 @@ class Position(NamedTuple):
     row: int
 
 
+def json_int(value: object) -> int:
+    """``value`` if it is a JSON integer; ValueError for anything else.
+
+    ``int()`` alone would read "7" as 7, 2.7 as 2 and true as 1.
+    """
+    if type(value) is not int:  # bool is a subclass of int, not int itself
+        if isinstance(value, str):
+            int(value)  # text that is no numeral keeps int()'s own message
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def distance(a: Position, b: Position) -> int:
     """Shortest path distance between two cells (L1 on the lattice)."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -109,12 +121,12 @@ class GridSpec:
         if not isinstance(data, dict):
             raise MalformedInput("grid spec must be a JSON object")
         try:
-            width = int(data["width"])
-            height = int(data["height"])
-            max_color = int(data["max_color"])
+            width = json_int(data["width"])
+            height = json_int(data["height"])
+            max_color = json_int(data["max_color"])
             raw_anchors = data.get("anchors", [])
             anchors = tuple(
-                (Position(int(a["col"]), int(a["row"])), int(a["color"]))
+                (Position(json_int(a["col"]), json_int(a["row"])), json_int(a["color"]))
                 for a in raw_anchors
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -31,7 +31,7 @@ import contextlib
 import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -42,7 +42,7 @@ from packlat.errors import (
     MalformedInput,
     VersionMismatch,
 )
-from packlat.grid import GridSpec
+from packlat.grid import GridSpec, json_int
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -63,7 +63,6 @@ class SearchStats:
     calls: int = 0
     max_depth: int = 0
     elapsed: float = 0.0
-    status: str = UNSAT
 
     def counters(self) -> dict:
         return {
@@ -93,7 +92,7 @@ class WorkUnit:
             raise MalformedInput('work unit JSON must have "grid" and "prefix"')
         grid = GridSpec.from_dict(data["grid"])
         try:
-            prefix = tuple(int(c) for c in data["prefix"])
+            prefix = tuple(json_int(c) for c in data["prefix"])
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"bad work unit prefix: {exc}") from exc
         return cls(grid=grid, prefix=prefix)
@@ -126,8 +125,8 @@ class Checkpoint:
             )
         try:
             grid = GridSpec.from_dict(data["grid"])
-            branch = tuple(int(c) for c in data["branch"])
-            nodes = int(data["nodes"])
+            branch = tuple(json_int(c) for c in data["branch"])
+            nodes = json_int(data["nodes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad checkpoint: {exc}") from exc
         if nodes < 0:
@@ -156,16 +155,20 @@ class SplitResult:
 
 @dataclass
 class ParallelInfo:
-    """How a parallel run was carried out and whether counts are exact."""
+    """How a parallel run was carried out.
+
+    Every unit runs to completion, so the merged counts always reproduce
+    the sequential run; the two constant flags say so in reports.
+    """
 
     depth: int
     units: int
     unit_nodes_total: int
     emitted_prefix_assignments: int
     prefix_overhead: int
-    count_reproducible: bool
-    early_exit: bool
     workers: int
+    count_reproducible: bool = field(default=True, init=False)
+    early_exit: bool = field(default=False, init=False)
 
 
 @dataclass
@@ -291,7 +294,8 @@ def _build_kernel(cache: Path, key: str) -> Path:
     """Compile the kernel into the cache, published with one ``os.replace``.
 
     The file name carries a CRC-32 of the library's own bytes, so a
-    damaged copy is recognised before it is loaded.
+    damaged copy is recognised before it is loaded. Libraries cached
+    under any other key are deleted once the new one is in place.
     """
     import subprocess
     import tempfile
@@ -306,6 +310,10 @@ def _build_kernel(cache: Path, key: str) -> Path:
             raise OSError(f"{_KERNEL_CC[0]} exited {proc.returncode}")
         target = cache / f"kernel-{key}-{_crc(Path(tmp).read_bytes())}.so"
         os.replace(tmp, target)
+        for lib in cache.glob("kernel-*.so"):
+            if not lib.name.startswith(f"kernel-{key}-"):
+                with contextlib.suppress(OSError):
+                    lib.unlink()
         return target
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -576,7 +584,6 @@ def _search(grid: GridSpec, naive: bool, decisions=(), error_cls=None, nodes: in
         calls=engine.calls,
         max_depth=engine.tables.frontier_cells(engine.max_pos),
         elapsed=time.perf_counter() - t0,
-        status=status,
     )
     coloring = None
     checkpoint = None
@@ -739,68 +746,34 @@ def _unit_worker(unit: WorkUnit) -> UnitOutcome:
                        engine=result.engine, **result.stats.counters())
 
 
-def default_workers() -> int:
-    cap = os.environ.get("PACKLAT_THREADS")
-    count = os.cpu_count() or 1
-    if cap:
-        try:
-            count = min(count, max(1, int(cap)))
-        except ValueError:
-            pass
-    return count
+def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None) -> SolveResult:
+    """Split the search and run every unit to completion across worker processes.
 
-
-def solve_parallel(
-    grid: GridSpec,
-    depth: int,
-    workers: int | None = None,
-    early_exit: bool = False,
-) -> SolveResult:
-    """Split the search and run the units across worker processes.
-
-    Without ``early_exit`` every unit runs to completion and the merged
-    node count reproduces the sequential one exactly, independent of
-    scheduling. With it, the first SAT unit wins and counting is only a
-    lower bound (flagged in the result).
+    The merged node count reproduces the sequential one exactly,
+    independent of scheduling. ``workers`` defaults to one per CPU.
     """
     import multiprocessing
 
     t0 = time.perf_counter()
     split_result = split(grid, depth)
     if workers is None:
-        workers = default_workers()
+        workers = os.cpu_count() or 1
     workers = max(1, min(workers, len(split_result.units) or 1))
 
-    outcomes: list[UnitOutcome] = []
-    early_hit = False
     with contextlib.ExitStack() as stack:
         run_units = map
         if workers > 1:
             _load_kernel()  # build or load once here, not in every worker
-            pool = stack.enter_context(multiprocessing.get_context().Pool(workers))
-            # imap_unordered yields the first SAT as soon as any worker finds it
-            run_units = pool.imap_unordered if early_exit else pool.map
-        for outcome in run_units(_unit_worker, split_result.units):
-            outcomes.append(outcome)
-            if early_exit and outcome.status == SAT:
-                early_hit = True
-                break  # leaving the block terminates the pool
+            run_units = stack.enter_context(multiprocessing.get_context().Pool(workers)).map
+        outcomes = list(run_units(_unit_worker, split_result.units))
 
-    elapsed = time.perf_counter() - t0
-    unit_total = sum(o.nodes for o in outcomes)
-    if early_hit:  # the loop stopped at the one SAT outcome it holds
-        status, coloring, sequential = SAT, outcomes[-1].coloring, unit_total
-    else:
-        status, coloring, sequential, unit_total = merge_outcomes(
-            split_result, outcomes
-        )
+    status, coloring, sequential, unit_total = merge_outcomes(split_result, outcomes)
     stats = SearchStats(
         nodes=sequential,
         tests=sum(o.tests for o in outcomes),
         calls=sum(o.calls for o in outcomes),
         max_depth=max((o.max_depth for o in outcomes), default=0),
-        elapsed=elapsed,
-        status=status,
+        elapsed=time.perf_counter() - t0,
     )
     info = ParallelInfo(
         depth=depth,
@@ -808,8 +781,6 @@ def solve_parallel(
         unit_nodes_total=unit_total,
         emitted_prefix_assignments=split_result.emitted_prefix_assignments,
         prefix_overhead=split_result.prefix_overhead,
-        count_reproducible=not early_hit,
-        early_exit=early_exit,
         workers=workers,
     )
     engine = "+".join(sorted({o.engine for o in outcomes})) or None

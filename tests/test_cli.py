@@ -90,6 +90,9 @@ def test_solve_usage_error_exit_one(capsys):
     code, _, err = run(capsys, "solve", "--width", "2", "--height", "2")
     assert code == 1
     assert "usage error" in err
+    code, _, err = run(capsys, "solve", "--width", "2", "--height", "2", "--k", "3",
+                       "--mode", "par", "--early-exit")
+    assert (code, err) == (1, "packlat: usage error: unrecognized arguments: --early-exit\n")
 
 
 def test_solve_bad_anchor_exit_one(capsys):
@@ -272,7 +275,10 @@ MERGE_DAMAGE = {
     "duplicate-report": ("report", "a second report for unit [1]"),
     "sat-witness-breaks-the-rule": ("report", "SAT witness breaks the rule for color 1"),
     "sat-without-witness": ("report", "coloring shape does not match 1x2 window"),
-    "unit-file-of-another-depth": ("unit", "not a unit of a depth-1 split of this grid"),
+    "depth-not-an-integer": (
+        "manifest", "bad split depth: invalid literal for int() with base 10: 'x'"),
+    "depth-zero": ("manifest", "bad split depth: split depth 0 outside 1..2"),
+    "depth-beyond-the-open-cells": ("manifest", "bad split depth: split depth 3 outside 1..2"),
 }
 
 
@@ -287,7 +293,6 @@ def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damag
     assert run(capsys, "merge", str(manifest_file), str(report_file))[0] == 10
     manifest = json.loads(manifest_file.read_text())
     report = json.loads(report_file.read_text())
-    unit = json.loads(unit_file.read_text())
     reports = [report_file]
     if damage == "report-without-unit":
         del report["unit"]
@@ -310,14 +315,76 @@ def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damag
     elif damage == "sat-without-witness":
         report["status"] = "SAT"
     else:
-        unit["prefix"] = [1, 1]
+        manifest["depth"] = {"depth-not-an-integer": "x", "depth-zero": 0,
+                             "depth-beyond-the-open-cells": 3}[damage]
     manifest_file.write_text(json.dumps(manifest))
     report_file.write_text(json.dumps(report))
-    unit_file.write_text(json.dumps(unit))
     code, out, err = run(capsys, "merge", str(manifest_file), *map(str, reports))
     where, message = MERGE_DAMAGE[damage]
-    bad_file = {"report": report_file, "manifest": manifest_file, "unit": unit_file}[where]
+    bad_file = {"report": report_file, "manifest": manifest_file}[where]
     assert (code, out, err) == (1, "", f"packlat: error: {bad_file}: {message}\n")
+
+
+# merge re-derives the split from "grid" and "depth"; the rest is never read
+MANIFEST_NOISE = {
+    "assignments-at-emission-empty": ("assignments_at_emission", []),
+    "prefix-overhead-not-a-number": ("prefix_overhead", "x"),
+    "emitted-prefix-assignments-forged": ("emitted_prefix_assignments", 99),
+    "unit-files-missing": ("unit_files", None),
+}
+
+
+@pytest.mark.parametrize("noise", list(MANIFEST_NOISE))
+def test_merge_reads_only_grid_and_depth_from_the_manifest(capsys, tmp_path, noise):
+    honest = _split_solve_merge(
+        capsys, tmp_path, ["--width", "1", "--height", "2", "--k", "2"], depth=1,
+    )
+    assert honest[0] == 0  # SAT: the merge credits the first SAT unit's emission
+    manifest_file = tmp_path / "units" / "split.json"
+    manifest = json.loads(manifest_file.read_text())
+    key, value = MANIFEST_NOISE[noise]
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    manifest_file.write_text(json.dumps(manifest))
+    reports = sorted(map(str, tmp_path.glob("report_*.json")))
+    assert run(capsys, "merge", str(manifest_file), *reports) == honest
+
+
+NOT_INTEGERS = {  # kind of file, field, forged value, message
+    "checkpoint-branch-a-string": (
+        "checkpoint", "branch", "121", "bad checkpoint: '1' is not an integer"),
+    "checkpoint-nodes-a-float": (
+        "checkpoint", "nodes", 2.7, "bad checkpoint: 2.7 is not an integer"),
+    "grid-max-color-a-bool": (
+        "grid", "max_color", True, "bad grid spec: True is not an integer"),
+    "grid-height-a-float": ("grid", "height", 4.9, "bad grid spec: 4.9 is not an integer"),
+    "unit-prefix-a-float": (
+        "unit", "prefix", [1.0], "bad work unit prefix: 1.0 is not an integer"),
+    "coloring-color-a-float": (
+        "coloring", "colors", [[1.0, 2]], "bad color value: 1.0 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTEGERS))
+def test_json_inputs_take_only_integers(capsys, tmp_path, case):
+    kind, key, value, message = NOT_INTEGERS[case]
+    grid = GridSpec(2, 1, 2)
+    data = {
+        "checkpoint": {"version": 1, "grid": grid.to_dict(), "branch": [1], "nodes": 1},
+        "grid": grid.to_dict(),
+        "unit": {"grid": grid.to_dict(), "prefix": [1]},
+        "coloring": {"grid": grid.to_dict(), "colors": [[1, 2]]},
+    }[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    command = {"checkpoint": "resume", "grid": "solve", "unit": "solve-unit",
+               "coloring": "verify"}[kind]
+    assert run(capsys, command, str(path))[0] in (0, 10)  # the honest file is accepted
+    data[key] = value
+    path.write_text(json.dumps(data))
+    assert run(capsys, command, str(path)) == (1, "", f"packlat: error: {path}: {message}\n")
 
 
 # --- checkpoint / resume ----------------------------------------------------
@@ -467,15 +534,6 @@ def test_exit_code_contract_over_random_instances(capsys):
         assert report_of(out)["status"] == expected
 
 
-def test_packlat_threads_caps_workers(monkeypatch):
-    from packlat.search import default_workers
-
-    monkeypatch.setenv("PACKLAT_THREADS", "1")
-    assert default_workers() == 1
-    monkeypatch.setenv("PACKLAT_THREADS", "not-a-number")
-    assert default_workers() >= 1
-
-
 def test_progress_lines_go_to_stderr(capsys):
     code, _, err = run(
         capsys, "solve", "--width", "3", "--height", "3", "--k", "4",
@@ -553,17 +611,6 @@ def test_only_search_commands_load_the_kernel(capsys, tmp_path):
     assert child.returncode == 0, child.stderr
     kernel_loaded = str(shutil.which("cc") is not None)  # solve is the control
     assert child.stderr.split() == ["False"] * 5 + [kernel_loaded]
-
-
-def test_early_exit_parallel_cli(capsys):
-    code, out, _ = run(
-        capsys, "solve", "--width", "2", "--height", "2", "--k", "3",
-        "--mode", "par", "--split-depth", "1", "--workers", "2", "--early-exit",
-    )
-    assert code == 0
-    report = report_of(out)
-    assert report["status"] == "SAT"
-    assert report["parallel"]["count_reproducible"] is False
 
 
 def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):

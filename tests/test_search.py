@@ -334,6 +334,9 @@ def test_parallel_reproduces_sequential_counts():
             assert parallel.parallel.count_reproducible
             if parallel.status == SAT:
                 assert parallel.coloring == sequential.coloring
+        default = solve_parallel(grid, depth)  # one worker per CPU
+        assert (default.status, default.stats.nodes, default.coloring) == (
+            sequential.status, sequential.stats.nodes, sequential.coloring)
     for grid, depth, nodes in ((GridSpec(1, 3, 1), 2, 1), (GridSpec(2, 2, 2), 4, 5)):
         parallel = solve_parallel(grid, depth, workers=2)
         assert (parallel.parallel.units, parallel.status, parallel.stats.nodes) == (
@@ -347,13 +350,6 @@ def test_parallel_unit_sum_is_schedule_independent():
         for w in (1, 2, 3)
     }
     assert len(totals) == 1
-
-
-def test_parallel_early_exit_flags_counts_unreproducible():
-    result = solve_parallel(GridSpec(2, 2, 3), depth=1, workers=1, early_exit=True)
-    assert result.status == SAT
-    assert not result.parallel.count_reproducible
-    assert verify(GridSpec(2, 2, 3), result.coloring) is None
 
 
 # --- engine routes: compiled kernel, and naive rescans in pure Python ------
@@ -460,6 +456,18 @@ def test_kernel_is_built_once_into_the_cache(kernel_cache):
     search._load_kernel.cache_clear()
     assert solve(GridSpec(3, 3, 3)).engine == "c"
     assert sorted(kernel_cache.iterdir()) == built
+
+
+@needs_cc
+def test_building_the_kernel_prunes_libraries_of_other_sources(kernel_cache):
+    stale = kernel_cache / "kernel-deadbeef-00000000.so"
+    stale.write_bytes(b"built from an older _kernel.c")
+    other = kernel_cache / "notes.txt"
+    other.write_text("not a kernel")
+    assert solve(GridSpec(3, 3, 3)).engine == "c"
+    (lib,) = kernel_cache.glob("kernel-*.so")
+    assert lib.name.startswith(f"kernel-{search._kernel_key()}-")
+    assert other.exists()
 
 
 def cli_report(capfd):
