@@ -30,7 +30,7 @@ from packlat.coloring import (
     verify,
 )
 from packlat.errors import MalformedInput, PacklatError
-from packlat.grid import GridSpec, Position, json_int
+from packlat.grid import GridSpec, Position
 from packlat.oracle import packing_chromatic_number
 from packlat.render import render_svg
 from packlat.search import (
@@ -42,6 +42,7 @@ from packlat.search import (
     SolveResult,
     UnitOutcome,
     WorkUnit,
+    check_split_depth,
     merge_outcomes,
     resume,
     solve,
@@ -429,7 +430,9 @@ def cmd_merge(args) -> int:
     """Merge unit reports that are exactly the units of the split they came from.
 
     The split is computed again from the manifest's grid and depth; its
-    other fields are informational and never read.
+    other fields are informational and never read. Each report's grid and
+    prefix length are checked first, so a forged grid fails before the
+    split is searched.
     """
     with _input_file(args.manifest) as manifest:
         (version,) = _fields(manifest, "version")
@@ -438,30 +441,32 @@ def cmd_merge(args) -> int:
         grid_dict, depth = _fields(manifest, "grid", "depth")
         grid = GridSpec.from_dict(grid_dict)
         try:
-            split_result = split(grid, json_int(depth))
+            depth = check_split_depth(grid, depth)
         except ValueError as exc:
             raise MalformedInput(f"bad split depth: {exc}") from exc
-    expected = set(split_result.units)
     outcomes: dict[tuple[int, ...], UnitOutcome] = {}
+    sources = {}
     for path in args.reports:
         with _input_file(path) as report:
             report_grid, unit, status, stats = _fields(report, "grid", "unit", "status", "stats")
             (prefix,), (nodes,) = _fields(unit, "prefix"), _fields(stats, "nodes")
             unit = WorkUnit.from_dict({"grid": report_grid, "prefix": prefix})
-            if unit not in expected:
+            if unit.grid != grid or len(unit.prefix) != depth:
                 raise MalformedInput(f"unit {list(unit.prefix)} is not in the split")
             if unit.prefix in outcomes:
                 raise MalformedInput(f"a second report for unit {list(unit.prefix)}")
-            try:
-                if json_int(nodes) < 0:
-                    raise ValueError
-            except ValueError:
-                raise MalformedInput(
-                    f"stats.nodes {nodes!r} is not a non-negative integer") from None
+            if type(nodes) is not int or nodes < 0:  # the rule of json_int, and >= 0
+                raise MalformedInput(f"stats.nodes {nodes!r} is not a non-negative integer")
             witness = report.get("witness")
             if status == SAT and (violation := verify(grid, witness)) is not None:
                 raise MalformedInput(f"SAT witness breaks the rule for color {violation.color}")
         outcomes[unit.prefix] = UnitOutcome(unit.prefix, status, nodes, witness)
+        sources[unit.prefix] = path
+    split_result = split(grid, depth)
+    expected = {unit.prefix for unit in split_result.units}
+    for prefix, path in sources.items():
+        if prefix not in expected:
+            raise MalformedInput(f"{path}: unit {list(prefix)} is not in the split")
     status, coloring, sequential, unit_total = merge_outcomes(
         split_result, list(outcomes.values())
     )

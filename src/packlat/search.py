@@ -31,7 +31,7 @@ import contextlib
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -167,8 +167,8 @@ class ParallelInfo:
     emitted_prefix_assignments: int
     prefix_overhead: int
     workers: int
-    count_reproducible: bool = field(default=True, init=False)
-    early_exit: bool = field(default=False, init=False)
+    count_reproducible: bool = True
+    early_exit: bool = False
 
 
 @dataclass
@@ -324,30 +324,44 @@ def _intact(lib: Path, key: str) -> bool:
     return lib.name == f"kernel-{key}-{_crc(lib.read_bytes())}.so"
 
 
+def _open_kernel(lib: Path, key: str):
+    """The slice function of ``lib``, or None when ``lib`` is damaged or gone.
+
+    A library that fails is deleted, so the caller's build replaces it. A
+    build from another kernel source may prune ``lib`` at any moment.
+    """
+    import ctypes
+
+    with contextlib.suppress(OSError):
+        if _intact(lib, key):
+            return ctypes.CDLL(str(lib)).packlat_slice
+    lib.unlink(missing_ok=True)
+    return None
+
+
 @lru_cache(maxsize=None)
 def _load_kernel():
     """The compiled slice function, or None when it cannot be built or loaded.
 
     The library is built once per CRC-32 of its source and compiler
-    command in ``~/.cache/packlat``. A cached library whose bytes no
-    longer match the CRC in its name is deleted and built once more.
-    Without a working compiler the engine runs on the naive route instead.
+    command in ``~/.cache/packlat``. A cached library that is damaged (its
+    bytes no longer match the CRC in its name) or vanishes before it is
+    loaded is built once more. Without a working compiler the engine runs
+    on the naive route instead.
     """
     try:
         cache = Path(_KERNEL_CACHE).expanduser()
         key = _kernel_key()
         found = sorted(cache.glob(f"kernel-{key}-*.so"))
-        lib = found[0] if found else _build_kernel(cache, key)
-        if not _intact(lib, key):
-            lib.unlink(missing_ok=True)
-            lib = _build_kernel(cache, key)
-            if not _intact(lib, key):
-                return None
-        import ctypes
-
-        fn = ctypes.CDLL(str(lib)).packlat_slice
+        fn = _open_kernel(found[0], key) if found else None
+        if fn is None:
+            fn = _open_kernel(_build_kernel(cache, key), key)
+        if fn is None:
+            return None
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
+    import ctypes
+
     i32, i64, p32 = ctypes.c_int32, ctypes.c_int64, ctypes.POINTER(ctypes.c_int32)
     fn.argtypes = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32),
                    p32, p32, p32, ctypes.POINTER(i64), i32, i64)
@@ -659,6 +673,17 @@ def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
     return _search(unit.grid, naive, unit.prefix, CorruptUnit, floor=len(unit.prefix))
 
 
+def check_split_depth(grid: GridSpec, depth: object) -> int:
+    """``depth`` if it is an integer in 1..(open cells); ValueError otherwise.
+
+    Checked before any search table is built, so it costs O(1) on any grid.
+    """
+    open_cells = grid.n_cells - len(grid.anchors)
+    if not 1 <= json_int(depth) <= open_cells:
+        raise ValueError(f"split depth {depth} outside 1..{open_cells}")
+    return depth
+
+
 def split(grid: GridSpec, depth: int) -> SplitResult:
     """Enumerate every consistent prefix of the given length, in DFS order.
 
@@ -666,9 +691,8 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     Assignments spent on prefixes that die before reaching the depth are
     returned as prefix overhead so that node counts stay reconcilable.
     """
+    check_split_depth(grid, depth)
     engine = _Engine(grid, naive=True)
-    if not 1 <= depth <= engine.n_free:
-        raise ValueError(f"split depth {depth} outside 1..{engine.n_free}")
     engine.n_free = depth  # cut the tree: a complete prefix counts as SAT
     units: list[WorkUnit] = []
     cum: list[int] = []

@@ -279,6 +279,9 @@ MERGE_DAMAGE = {
         "manifest", "bad split depth: invalid literal for int() with base 10: 'x'"),
     "depth-zero": ("manifest", "bad split depth: split depth 0 outside 1..2"),
     "depth-beyond-the-open-cells": ("manifest", "bad split depth: split depth 3 outside 1..2"),
+    # the reports are checked against the manifest's grid before the split
+    # is searched, so a forged width fails at once instead of searching it
+    "manifest-width-edited": ("report", "unit [1] is not in the split"),
 }
 
 
@@ -314,6 +317,8 @@ def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damag
         report["status"], report["witness"] = "SAT", [[1], [1]]
     elif damage == "sat-without-witness":
         report["status"] = "SAT"
+    elif damage == "manifest-width-edited":
+        manifest["grid"]["width"] = 1_000_000
     else:
         manifest["depth"] = {"depth-not-an-integer": "x", "depth-zero": 0,
                              "depth-beyond-the-open-cells": 3}[damage]

@@ -1,9 +1,12 @@
 """Solver behavior: node accounting, splitting, checkpoints, determinism."""
 
+import importlib.util
 import itertools
 import json
 import random
 import shutil
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +346,19 @@ def test_parallel_reproduces_sequential_counts():
             0, UNSAT, nodes)
 
 
+def test_parallel_info_has_the_fields_perfbench_pins():
+    # perfbench compares vars(result.parallel) with PAR_INFO, so every field,
+    # the two constant flags too, must be set on the instance
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    info = solve_parallel(GridSpec(3, 3, 3), 1, workers=1).parallel
+    assert vars(info) == asdict(info)
+    assert vars(info).keys() == workloads.PAR_INFO.keys()
+    assert (info.count_reproducible, info.early_exit) == (True, False)
+
+
 def test_parallel_unit_sum_is_schedule_independent():
     grid = GridSpec(3, 3, 4)
     totals = {
@@ -468,6 +484,25 @@ def test_building_the_kernel_prunes_libraries_of_other_sources(kernel_cache):
     (lib,) = kernel_cache.glob("kernel-*.so")
     assert lib.name.startswith(f"kernel-{search._kernel_key()}-")
     assert other.exists()
+
+
+@needs_cc
+def test_a_library_pruned_before_it_is_loaded_is_built_again(kernel_cache, monkeypatch):
+    # a build from another kernel source may delete the library this process
+    # just found; it is rebuilt rather than the run dropping to the naive route
+    search._build_kernel(kernel_cache, search._kernel_key())
+    intact, pruned = search._intact, []
+
+    def pruned_meanwhile(lib, key):
+        if not pruned:
+            pruned.append(lib)
+            lib.unlink()
+        return intact(lib, key)
+
+    monkeypatch.setattr(search, "_intact", pruned_meanwhile)
+    assert search._load_kernel() is not None
+    (lib,) = kernel_cache.glob("kernel-*.so")
+    assert pruned and intact(lib, search._kernel_key())
 
 
 def cli_report(capfd):
