@@ -6,7 +6,7 @@ field is stable across runs of identical inputs in sequential mode.
 
 Exit codes: 0 = SAT / OK, 10 = UNSAT, 11 = verification violation,
 20 = search interrupted and a checkpoint written, 1 = any error
-(including usage errors and a Ctrl-C before the search starts).
+(including usage errors and a Ctrl-C that writes no checkpoint).
 """
 
 from __future__ import annotations
@@ -82,17 +82,27 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
+
+
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """The options of a sequential run, shared by solve and resume."""
     parser.add_argument("--naive-check", action="store_true",
                         help="use the ball-rescan admissibility test "
                              "(slow, for differential runs)")
-    parser.add_argument("--checkpoint-every", type=int, default=None, metavar="NODES")
+    parser.add_argument("--checkpoint-every", type=_at_least(0), default=None,
+                        metavar="NODES", help="rolling checkpoint interval (0: off)")
     parser.add_argument("--checkpoint-file", default=None)
     parser.add_argument("--witness-file", default=None)
-    parser.add_argument("--progress-every", type=int,
+    parser.add_argument("--progress-every", type=_at_least(0),
                         default=DEFAULT_PROGRESS_EVERY, metavar="NODES",
-                        help="stderr status line interval in nodes")
+                        help="stderr status line interval in nodes (0: off)")
 
 
 def _parse_anchor(text: str) -> tuple[Position, int]:
@@ -272,29 +282,20 @@ def _progress_printer(t0: float):
 
 def _run_sequential(args, search, start):
     """Shared driver for cmd_solve (seq) and cmd_resume: ``search(start, ...)``."""
-    checkpoint_file = args.checkpoint_file
-    if args.checkpoint_every and not checkpoint_file:
+    if args.checkpoint_every and not args.checkpoint_file:
         raise _UsageError("--checkpoint-every needs --checkpoint-file")
-
-    def on_checkpoint(cp: Checkpoint) -> None:
-        _write_checkpoint(checkpoint_file, cp)
-
-    flag = {"hit": False}
-
-    def _handler(signum, frame):
-        flag["hit"] = True
-
+    hits = []  # the SIGINTs received during the search
     t0 = time.perf_counter()
-    old_handler = signal.signal(signal.SIGINT, _handler)
+    old_handler = signal.signal(signal.SIGINT, lambda signum, frame: hits.append(signum))
     try:
         return search(
             start,
             naive=args.naive_check,
             checkpoint_every=args.checkpoint_every,
-            on_checkpoint=on_checkpoint if args.checkpoint_every else None,
+            on_checkpoint=lambda cp: _write_checkpoint(args.checkpoint_file, cp),
             progress_every=args.progress_every,
             on_progress=_progress_printer(t0),
-            interrupted=lambda: flag["hit"],
+            interrupted=lambda: bool(hits),
         )
     finally:
         signal.signal(signal.SIGINT, old_handler)
@@ -331,7 +332,7 @@ def cmd_solve(args) -> int:
                 "checkpointing applies to sequential mode; parallel runs are "
                 "resumed per unit"
             )
-        depth = args.split_depth if args.split_depth else 2
+        depth = 2 if args.split_depth is None else args.split_depth
         result = solve_parallel(grid, depth, workers=args.workers)
     else:
         result = _run_sequential(args, solve, grid)
@@ -378,27 +379,21 @@ def cmd_chi(args) -> int:
 
 
 def cmd_split(args) -> int:
+    """Write unit i of the split to ``unit_{i:04d}.json``, then ``split.json``."""
     grid = _grid_from_args(args)
-    result = split(grid, args.split_depth)
+    units = split(grid, args.split_depth).units
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    unit_files = []
-    for i, unit in enumerate(result.units):
-        name = f"unit_{i:04d}.json"
-        (out_dir / name).write_text(
+    for i, unit in enumerate(units):
+        (out_dir / f"unit_{i:04d}.json").write_text(
             json.dumps(unit.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
         )
-        unit_files.append(name)
     manifest = {
         "version": MANIFEST_VERSION,
         "convention": CONVENTION,
         "grid": grid.to_dict(),
-        "depth": result.depth,
-        "units": len(result.units),
-        "emitted_prefix_assignments": result.emitted_prefix_assignments,
-        "prefix_overhead": result.prefix_overhead,
-        "assignments_at_emission": list(result.assignments_at_emission),
-        "unit_files": unit_files,
+        "depth": args.split_depth,
+        "units": len(units),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True)
     (out_dir / "split.json").write_text(text + "\n", encoding="utf-8")
@@ -429,10 +424,10 @@ def _fields(data: object, *keys: str) -> list:
 def cmd_merge(args) -> int:
     """Merge unit reports that are exactly the units of the split they came from.
 
-    The split is computed again from the manifest's grid and depth; its
-    other fields are informational and never read. Each report's grid and
-    prefix length are checked first, so a forged grid fails before the
-    split is searched.
+    The split is computed again from the manifest's grid and depth. Each
+    report is checked as it is read, so an error names its file; the split
+    is searched once a report shares the manifest's grid, so a forged grid
+    fails at once. ``merge_outcomes`` checks that the reports cover the split.
     """
     with _input_file(args.manifest) as manifest:
         (version,) = _fields(manifest, "version")
@@ -444,29 +439,28 @@ def cmd_merge(args) -> int:
             depth = check_split_depth(grid, depth)
         except ValueError as exc:
             raise MalformedInput(f"bad split depth: {exc}") from exc
+    split_result, expected = None, set()
     outcomes: dict[tuple[int, ...], UnitOutcome] = {}
-    sources = {}
     for path in args.reports:
         with _input_file(path) as report:
             report_grid, unit, status, stats = _fields(report, "grid", "unit", "status", "stats")
             (prefix,), (nodes,) = _fields(unit, "prefix"), _fields(stats, "nodes")
             unit = WorkUnit.from_dict({"grid": report_grid, "prefix": prefix})
-            if unit.grid != grid or len(unit.prefix) != depth:
+            if split_result is None and unit.grid == grid:  # never search a forged grid
+                split_result = split(grid, depth)
+                expected = {u.prefix for u in split_result.units}
+            if unit.grid != grid or unit.prefix not in expected:
                 raise MalformedInput(f"unit {list(unit.prefix)} is not in the split")
             if unit.prefix in outcomes:
                 raise MalformedInput(f"a second report for unit {list(unit.prefix)}")
             if type(nodes) is not int or nodes < 0:  # the rule of json_int, and >= 0
                 raise MalformedInput(f"stats.nodes {nodes!r} is not a non-negative integer")
+            if status not in (SAT, UNSAT):
+                raise MalformedInput(f"status {status!r} is not SAT or UNSAT")
             witness = report.get("witness")
             if status == SAT and (violation := verify(grid, witness)) is not None:
                 raise MalformedInput(f"SAT witness breaks the rule for color {violation.color}")
         outcomes[unit.prefix] = UnitOutcome(unit.prefix, status, nodes, witness)
-        sources[unit.prefix] = path
-    split_result = split(grid, depth)
-    expected = {unit.prefix for unit in split_result.units}
-    for prefix, path in sources.items():
-        if prefix not in expected:
-            raise MalformedInput(f"{path}: unit {list(prefix)} is not in the split")
     status, coloring, sequential, unit_total = merge_outcomes(
         split_result, list(outcomes.values())
     )
@@ -514,7 +508,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--mode", choices=["seq", "par"], default="seq")
     p_solve.add_argument("--split-depth", type=int, default=None,
                          help="prefix length for parallel work units")
-    p_solve.add_argument("--workers", type=int, default=None,
+    p_solve.add_argument("--workers", type=_at_least(1), default=None,
                          help="worker processes (default: one per CPU)")
     _add_run_args(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -583,8 +577,9 @@ def main(argv=None) -> int:
         print(f"packlat: error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # a running search catches SIGINT itself and exits 20 with a checkpoint
-        print("packlat: interrupted before the search started", file=sys.stderr)
+        # a running solve or resume catches SIGINT itself and exits 20 with a
+        # checkpoint; anywhere else a Ctrl-C saves nothing
+        print("packlat: interrupted; no checkpoint was written", file=sys.stderr)
         return 1
 
 

@@ -29,8 +29,6 @@ def json_int(value: object) -> int:
     ``int()`` alone would read "7" as 7, 2.7 as 2 and true as 1.
     """
     if type(value) is not int:  # bool is a subclass of int, not int itself
-        if isinstance(value, str):
-            int(value)  # text that is no numeral keeps int()'s own message
         raise ValueError(f"{value!r} is not an integer")
     return value
 

@@ -147,7 +147,6 @@ class SplitResult:
     """
 
     units: tuple[WorkUnit, ...]
-    depth: int
     emitted_prefix_assignments: int
     prefix_overhead: int
     assignments_at_emission: tuple[int, ...]
@@ -480,7 +479,7 @@ class _Engine:
     ) -> str:
         nodes = self.nodes
         stop_at = _NEVER if suspend_at is None else suspend_at
-        next_poll = nodes + _INTERRUPT_POLL if interrupted is not None else _NEVER
+        next_poll = nodes + _INTERRUPT_POLL  # a Ctrl-C lands between slices
         next_progress = (
             (nodes // progress_every + 1) * progress_every if progress_every else _NEVER
         )
@@ -500,7 +499,7 @@ class _Engine:
             if nodes >= stop_at:
                 return INTERRUPTED
             if nodes >= next_poll:
-                if interrupted():
+                if interrupted is not None and interrupted():
                     return INTERRUPTED
                 next_poll = nodes + _INTERRUPT_POLL
             if nodes >= next_progress:
@@ -705,7 +704,6 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     emitted = len({u.prefix[:i] for u in units for i in range(1, depth + 1)})
     return SplitResult(
         units=tuple(units),
-        depth=depth,
         emitted_prefix_assignments=emitted,
         prefix_overhead=engine.nodes - emitted,
         assignments_at_emission=tuple(cum),
@@ -777,6 +775,7 @@ def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None) -> So
     independent of scheduling. ``workers`` defaults to one per CPU.
     """
     import multiprocessing
+    import signal
 
     t0 = time.perf_counter()
     split_result = split(grid, depth)
@@ -788,7 +787,10 @@ def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None) -> So
         run_units = map
         if workers > 1:
             _load_kernel()  # build or load once here, not in every worker
-            run_units = stack.enter_context(multiprocessing.get_context().Pool(workers)).map
+            # a Ctrl-C stops this process alone; leaving the pool terminates the workers
+            pool = multiprocessing.get_context().Pool(
+                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+            run_units = stack.enter_context(pool).map
         outcomes = list(run_units(_unit_worker, split_result.units))
 
     status, coloring, sequential, unit_total = merge_outcomes(split_result, outcomes)

@@ -25,6 +25,25 @@ def stable(report: dict) -> dict:
     return scrubbed
 
 
+def _child_env() -> dict:
+    """The environment for a packlat child process, whatever its directory.
+
+    A relative PYTHONPATH (say PYTHONPATH=src in a source checkout) does not
+    resolve in another directory, so the directory that holds the imported
+    package goes first, as an absolute path.
+    """
+    import os
+    from pathlib import Path
+
+    import packlat
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(packlat.__file__).resolve().parent.parent), env.get("PYTHONPATH"),
+    ]))
+    return env
+
+
 # --- solve ------------------------------------------------------------------
 
 
@@ -204,8 +223,8 @@ def _split_solve_merge(capsys, tmp_path, grid_args, depth, expect_nodes=None):
     assert code == 0
     manifest = report_of(out)
     report_files = []
-    for i, name in enumerate(manifest["unit_files"]):
-        code, out, _ = run(capsys, "solve-unit", str(out_dir / name))
+    for i in range(manifest["units"]):
+        code, out, _ = run(capsys, "solve-unit", str(out_dir / f"unit_{i:04d}.json"))
         assert code in (0, 10)
         report_path = tmp_path / f"report_{i:04d}.json"
         report_path.write_text(out)
@@ -255,8 +274,8 @@ def test_merge_rejects_missing_units(capsys, tmp_path):
         capsys, "split", "--width", "1", "--height", "2", "--k", "2",
         "--split-depth", "1", "--out-dir", str(out_dir),
     )
-    manifest = report_of(out)
-    code, out, _ = run(capsys, "solve-unit", str(out_dir / manifest["unit_files"][0]))
+    assert report_of(out)["units"] == 2
+    code, out, _ = run(capsys, "solve-unit", str(out_dir / "unit_0000.json"))
     only_report = tmp_path / "only.json"
     only_report.write_text(out)
     code, _, err = run(capsys, "merge", str(out_dir / "split.json"), str(only_report))
@@ -268,15 +287,14 @@ MERGE_DAMAGE = {
     "report-not-an-object": ("report", "not a JSON object"),
     "manifest-without-grid": ("manifest", 'no "grid" field'),
     "prefix-not-a-list": ("report", "bad work unit prefix: 'int' object is not iterable"),
-    "prefix-not-integers": (
-        "report", "bad work unit prefix: invalid literal for int() with base 10: 'a'"),
+    "prefix-not-integers": ("report", "bad work unit prefix: 'a' is not an integer"),
     "prefix-outside-the-split": ("report", "unit [7] is not in the split"),
     "nodes-not-an-integer": ("report", "stats.nodes 'x' is not a non-negative integer"),
     "duplicate-report": ("report", "a second report for unit [1]"),
     "sat-witness-breaks-the-rule": ("report", "SAT witness breaks the rule for color 1"),
     "sat-without-witness": ("report", "coloring shape does not match 1x2 window"),
-    "depth-not-an-integer": (
-        "manifest", "bad split depth: invalid literal for int() with base 10: 'x'"),
+    "status-not-terminal": ("report", "status 'INTERRUPTED' is not SAT or UNSAT"),
+    "depth-not-an-integer": ("manifest", "bad split depth: 'x' is not an integer"),
     "depth-zero": ("manifest", "bad split depth: split depth 0 outside 1..2"),
     "depth-beyond-the-open-cells": ("manifest", "bad split depth: split depth 3 outside 1..2"),
     # the reports are checked against the manifest's grid before the split
@@ -317,6 +335,8 @@ def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damag
         report["status"], report["witness"] = "SAT", [[1], [1]]
     elif damage == "sat-without-witness":
         report["status"] = "SAT"
+    elif damage == "status-not-terminal":
+        report["status"] = "INTERRUPTED"
     elif damage == "manifest-width-edited":
         manifest["grid"]["width"] = 1_000_000
     else:
@@ -330,12 +350,12 @@ def test_merge_rejects_malformed_files_without_traceback(capsys, tmp_path, damag
     assert (code, out, err) == (1, "", f"packlat: error: {bad_file}: {message}\n")
 
 
-# merge re-derives the split from "grid" and "depth"; the rest is never read
+# merge re-derives the split from "grid" and "depth"; older manifests also
+# carry these fields, which are never read
 MANIFEST_NOISE = {
     "assignments-at-emission-empty": ("assignments_at_emission", []),
     "prefix-overhead-not-a-number": ("prefix_overhead", "x"),
     "emitted-prefix-assignments-forged": ("emitted_prefix_assignments", 99),
-    "unit-files-missing": ("unit_files", None),
 }
 
 
@@ -348,13 +368,23 @@ def test_merge_reads_only_grid_and_depth_from_the_manifest(capsys, tmp_path, noi
     manifest_file = tmp_path / "units" / "split.json"
     manifest = json.loads(manifest_file.read_text())
     key, value = MANIFEST_NOISE[noise]
-    if value is None:
-        del manifest[key]
-    else:
-        manifest[key] = value
+    manifest[key] = value
     manifest_file.write_text(json.dumps(manifest))
     reports = sorted(map(str, tmp_path.glob("report_*.json")))
     assert run(capsys, "merge", str(manifest_file), *reports) == honest
+
+
+def test_split_manifest_has_exactly_five_keys(capsys, tmp_path):
+    out_dir = tmp_path / "units"
+    code, out, _ = run(capsys, "split", "--width", "4", "--height", "4", "--k", "4",
+                       "--split-depth", "2", "--out-dir", str(out_dir))
+    assert code == 0
+    manifest = report_of(out)
+    assert (out_dir / "split.json").read_text() == out
+    assert sorted(manifest) == ["convention", "depth", "grid", "units", "version"]
+    assert (manifest["depth"], manifest["units"]) == (2, 12)
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "split.json", *(f"unit_{i:04d}.json" for i in range(12))]
 
 
 NOT_INTEGERS = {  # kind of file, field, forged value, message
@@ -441,6 +471,38 @@ def test_checkpoint_every_requires_file(capsys):
     )
     assert code == 1
     assert "checkpoint-file" in err
+
+
+BAD_RUN_OPTIONS = {  # options, message
+    "checkpoint-every-negative": (
+        ["--checkpoint-every", "-5"],
+        "usage error: argument --checkpoint-every: '-5' is not an integer >= 0"),
+    "progress-every-negative": (
+        ["--progress-every", "-1"],
+        "usage error: argument --progress-every: '-1' is not an integer >= 0"),
+    "split-depth-zero": (
+        ["--mode", "par", "--split-depth", "0"], "error: split depth 0 outside 1..16"),
+    "workers-zero": (
+        ["--mode", "par", "--workers", "0"],
+        "usage error: argument --workers: '0' is not an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_OPTIONS))
+def test_bad_run_options_exit_one_at_once(capsys, tmp_path, case):
+    options, message = BAD_RUN_OPTIONS[case]
+    argv = ["solve", "--width", "4", "--height", "4", "--k", "4", *options]
+    assert run(capsys, *argv) == (1, "", f"packlat: {message}\n")
+    if "every" in case:  # resume takes the same run options, checked before the file is read
+        argv = ["resume", str(tmp_path / "absent.json"), *options]
+        assert run(capsys, *argv) == (1, "", f"packlat: {message}\n")
+
+
+def test_zero_run_intervals_are_off(capsys):
+    argv = ["solve", "--width", "4", "--height", "4", "--k", "4"]
+    code, out, err = run(capsys, *argv, "--checkpoint-every", "0", "--progress-every", "0")
+    assert (code, err) == (10, "")
+    assert report_of(out)["stats"] == report_of(run(capsys, *argv)[1])["stats"]
 
 
 def test_resume_rejects_corrupt_checkpoint(capsys, tmp_path):
@@ -559,7 +621,7 @@ def test_ctrl_c_before_the_search_exits_one_without_traceback(capsys, monkeypatc
     code, out, err = run(capsys, "solve", "--width", "3", "--height", "3", "--k", "3")
     assert code == 1
     assert out == ""
-    assert err == "packlat: interrupted before the search started\n"
+    assert err == "packlat: interrupted; no checkpoint was written\n"
 
 
 def test_report_names_the_engine_only_in_volatile(capsys):
@@ -576,13 +638,9 @@ def test_report_names_the_engine_only_in_volatile(capsys):
 
 def test_only_search_commands_load_the_kernel(capsys, tmp_path):
     # short commands pay no ctypes import or kernel load at startup
-    import os
     import shutil
     import subprocess
     import sys
-    from pathlib import Path
-
-    import packlat
 
     grid = ["--width", "2", "--height", "2", "--k", "3"]
     assert run(capsys, "split", *grid, "--split-depth", "1",
@@ -607,12 +665,8 @@ def test_only_search_commands_load_the_kernel(capsys, tmp_path):
         "    main(argv)\n"
         "    print('ctypes' in sys.modules, file=sys.stderr)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(packlat.__file__).resolve().parent.parent), env.get("PYTHONPATH"),
-    ]))
     child = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                           text=True, timeout=60, cwd=tmp_path, env=env)
+                           text=True, timeout=60, cwd=tmp_path, env=_child_env())
     assert child.returncode == 0, child.stderr
     kernel_loaded = str(shutil.which("cc") is not None)  # solve is the control
     assert child.stderr.split() == ["False"] * 5 + [kernel_loaded]
@@ -621,25 +675,13 @@ def test_only_search_commands_load_the_kernel(capsys, tmp_path):
 def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     # end to end through a real process: interrupt, get exit 20 plus a
     # checkpoint, resume to the same final count as an uninterrupted run
-    import os
     import select
     import shutil
     import signal
     import subprocess
     import sys
-    from pathlib import Path
 
-    import packlat
-
-    # the children run in tmp_path, where a relative PYTHONPATH (say
-    # PYTHONPATH=src in a source checkout) does not resolve; put the
-    # directory that holds the imported package first, as an absolute path
-    package_root = str(Path(packlat.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-
+    env = _child_env()
     cp_file = tmp_path / "interrupted.json"
     # unbuffered binary pipes: readline() takes exactly the first line, and
     # communicate() gets everything after it
@@ -696,3 +738,59 @@ def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     assert final["stats"]["nodes"] == 1378337
     # the checkpoint of the naive route resumes on the default one
     assert final["volatile"]["engine"] == ("c" if shutil.which("cc") else "naive")
+
+
+@pytest.fixture(scope="module")
+def ctrl_c_runs(tmp_path_factory):
+    """Exit code, stdout, stderr and seconds of two headline runs that save
+    nothing, each sent SIGINT (to its whole process group) after 1 s.
+
+    Both would run for days, so only the interrupt can end them in time.
+    They run side by side to keep the suite's wall time down.
+    """
+    import contextlib
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    tmp_path = tmp_path_factory.mktemp("ctrl_c")
+    grid = GridSpec(15, 9, 11, ((Position(5, 5), 9),))
+    (tmp_path / "unit.json").write_text(json.dumps({"grid": grid.to_dict(), "prefix": [1]}))
+    commands = {
+        "solve-unit": ["solve-unit", "unit.json"],
+        "par": ["solve", "--width", "15", "--height", "9", "--k", "11", "--anchor", "5,5,9",
+                "--mode", "par", "--split-depth", "2", "--workers", "2"],
+    }
+    procs = {}
+    try:
+        for name, argv in commands.items():
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-m", "packlat.cli", *argv], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=_child_env(),
+                start_new_session=True,
+            )
+        time.sleep(1)
+        t0 = time.monotonic()
+        for proc in procs.values():
+            os.killpg(proc.pid, signal.SIGINT)
+        results = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=10)
+            results[name] = (proc.returncode, out, err, time.monotonic() - t0)
+    finally:
+        for proc in procs.values():
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # the pool's workers too
+            proc.wait()
+    return results
+
+
+@pytest.mark.parametrize("command", ["solve-unit", "par"])
+def test_ctrl_c_in_solve_unit_and_par_exits_one(ctrl_c_runs, command):
+    # a unit restarts from its prefix, so there is no checkpoint to write
+    code, out, err, seconds = ctrl_c_runs[command]
+    assert (code, out) == (1, ""), err
+    assert err == "packlat: interrupted; no checkpoint was written\n"
+    assert seconds < 10
