@@ -13,8 +13,30 @@
              journal[jtop[p] .. jtop[p+1]) */
 #include <stdint.h>
 
-enum { LIMIT, SAT, UNSAT };
-enum { POS, START, NODES, TESTS, CALLS, MAX_POS, N_STATE };
+enum { LIMIT, SAT, UNSAT, DONE, CORRUPT };
+enum { POS, START, NODES, TESTS, CALLS, MAX_POS, UNIT, LIVE, N_STATE };
+
+/* Color cell p with c: forbid c on the later cells within distance c. */
+static inline void assign(int32_t k, const int32_t *row, const int32_t *cnt,
+                          const int32_t *nbr, uint32_t *forb, int32_t *branch,
+                          int32_t *jtop, int32_t *journal, int64_t p, int32_t c)
+{
+    uint32_t bit = 1u << (c - 1);
+    int32_t top = jtop[p];
+    const int32_t *q = nbr + row[p], *end = q + cnt[p * k + c - 1];
+    for (; q < end; q++)
+        if (!(forb[*q] & bit)) { forb[*q] |= bit; journal[top++] = *q; }
+    jtop[p + 1] = top;
+    branch[p] = c;
+}
+
+/* Take back the assignment at cell p. */
+static inline void unassign(uint32_t *forb, const int32_t *branch,
+                            const int32_t *jtop, const int32_t *journal, int64_t p)
+{
+    uint32_t keep = ~(1u << (branch[p] - 1));
+    for (int32_t j = jtop[p]; j < jtop[p + 1]; j++) forb[journal[j]] &= keep;
+}
 
 int packlat_slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                   const int32_t *nbr, uint32_t *forb, int32_t *branch,
@@ -29,14 +51,9 @@ int packlat_slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
         if (pos == n) { status = SAT; break; }
         uint32_t avail = start > k ? 0 : ~forb[pos] & full & (~0u << (start - 1));
         if (avail) {
-            int32_t c = __builtin_ctz(avail) + 1, top = jtop[pos];
-            uint32_t bit = 1u << (c - 1);
-            const int32_t *q = nbr + row[pos], *end = q + cnt[pos * k + c - 1];
+            int32_t c = __builtin_ctz(avail) + 1;
             tests += c - start + 1;
-            for (; q < end; q++)
-                if (!(forb[*q] & bit)) { forb[*q] |= bit; journal[top++] = *q; }
-            jtop[pos + 1] = top;
-            branch[pos++] = c;
+            assign(k, row, cnt, nbr, forb, branch, jtop, journal, pos++, c);
             nodes++;
             start = 1;
             if (pos > max_pos) max_pos = pos;
@@ -45,13 +62,54 @@ int packlat_slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
         } else {
             tests += k - start + 1;
             if (pos == floor) { status = UNSAT; break; }
-            pos--;
-            uint32_t keep = ~(1u << (branch[pos] - 1));
-            for (int32_t j = jtop[pos]; j < jtop[pos + 1]; j++) forb[journal[j]] &= keep;
+            unassign(forb, branch, jtop, journal, --pos);
             start = branch[pos] + 1;
         }
     }
     st[POS] = pos; st[START] = start; st[NODES] = nodes;
     st[TESTS] = tests; st[CALLS] = calls; st[MAX_POS] = max_pos;
     return status;
+}
+
+/* One batch runs the subtrees of m prefixes of d decisions each,
+   prefixes[i*d .. i*d + d), in turn from unit st[UNIT] on, with the
+   counters of unit i written to out[5*i ..] as status, nodes, tests,
+   calls, max_pos. Between two units the branch is undone only down to the
+   prefix they share. Returns DONE after the last unit; SAT right after a
+   SAT unit, its coloring in branch[]; CORRUPT with st[POS] at a decision
+   out of range or forbidden; and LIMIT once `budget` nodes are spent, the
+   unit in flight kept in st[] (st[LIVE] = 1) for the next call. */
+int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
+                  const int32_t *nbr, uint32_t *forb, int32_t *branch,
+                  int32_t *jtop, int32_t *journal, int64_t *st,
+                  int32_t d, int64_t m, const int32_t *prefixes, int64_t *out,
+                  int64_t budget)
+{
+    for (; st[UNIT] < m; st[UNIT]++, st[LIVE] = 0) {
+        if (!st[LIVE]) {
+            const int32_t *pre = prefixes + st[UNIT] * d;
+            int64_t pos = st[POS], shared = 0;
+            while (shared < pos && shared < d && branch[shared] == pre[shared]) shared++;
+            while (pos > shared) unassign(forb, branch, jtop, journal, --pos);
+            for (; pos < d; pos++) {
+                if (pre[pos] < 1 || pre[pos] > k || forb[pos] >> (pre[pos] - 1) & 1) {
+                    st[POS] = pos;
+                    return CORRUPT;
+                }
+                assign(k, row, cnt, nbr, forb, branch, jtop, journal, pos, pre[pos]);
+            }
+            st[POS] = d; st[START] = 1; st[NODES] = 0; st[TESTS] = 0;
+            st[CALLS] = d < n; st[MAX_POS] = d; st[LIVE] = 1;
+        }
+        int64_t before = st[NODES];
+        int status = packlat_slice(n, k, row, cnt, nbr, forb, branch, jtop, journal,
+                                   st, d, before + budget);
+        if (status == LIMIT) return LIMIT;
+        budget -= st[NODES] - before;
+        int64_t *o = out + 5 * st[UNIT];
+        o[0] = status;
+        for (int j = 1; j < 5; j++) o[j] = st[NODES + j - 1];
+        if (status == SAT) { st[UNIT]++; st[LIVE] = 0; return SAT; }
+    }
+    return DONE;
 }

@@ -267,17 +267,11 @@ def _write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
             os.unlink(tmp)
 
 
-def _progress_printer(t0: float):
-    def on_progress(nodes: int, frontier: int) -> None:
-        elapsed = time.perf_counter() - t0
-        rate = nodes / elapsed if elapsed > 0 else 0.0
-        print(
-            f"[packlat] nodes={nodes:,} frontier={frontier} cells "
-            f"elapsed={elapsed:.1f}s rate={rate:,.0f}/s",
-            file=sys.stderr,
-            flush=True,
-        )
-    return on_progress
+def _print_progress(t0: float, where: str, nodes: int) -> None:
+    elapsed = time.perf_counter() - t0
+    rate = nodes / elapsed if elapsed > 0 else 0.0
+    print(f"[packlat] {where} elapsed={elapsed:.1f}s rate={rate:,.0f}/s",
+          file=sys.stderr, flush=True)
 
 
 def _run_sequential(args, search, start):
@@ -286,6 +280,10 @@ def _run_sequential(args, search, start):
         raise _UsageError("--checkpoint-every needs --checkpoint-file")
     hits = []  # the SIGINTs received during the search
     t0 = time.perf_counter()
+
+    def on_progress(nodes: int, frontier: int) -> None:
+        _print_progress(t0, f"nodes={nodes:,} frontier={frontier} cells", nodes)
+
     old_handler = signal.signal(signal.SIGINT, lambda signum, frame: hits.append(signum))
     try:
         return search(
@@ -294,7 +292,7 @@ def _run_sequential(args, search, start):
             checkpoint_every=args.checkpoint_every,
             on_checkpoint=lambda cp: _write_checkpoint(args.checkpoint_file, cp),
             progress_every=args.progress_every,
-            on_progress=_progress_printer(t0),
+            on_progress=on_progress,
             interrupted=lambda: bool(hits),
         )
     finally:
@@ -333,7 +331,13 @@ def cmd_solve(args) -> int:
                 "resumed per unit"
             )
         depth = 2 if args.split_depth is None else args.split_depth
-        result = solve_parallel(grid, depth, workers=args.workers)
+        t0 = time.perf_counter()
+
+        def on_progress(done: int, total: int, nodes: int) -> None:
+            _print_progress(t0, f"units={done}/{total} nodes={nodes:,}", nodes)
+
+        result = solve_parallel(grid, depth, workers=args.workers,
+                                progress_every=args.progress_every, on_progress=on_progress)
     else:
         result = _run_sequential(args, solve, grid)
     return _finish_run(args, grid, args.mode, flags, result, t0_wall, {},

@@ -324,7 +324,7 @@ def _intact(lib: Path, key: str) -> bool:
 
 
 def _open_kernel(lib: Path, key: str):
-    """The slice function of ``lib``, or None when ``lib`` is damaged or gone.
+    """The loaded ``lib``, or None when it is damaged or gone.
 
     A library that fails is deleted, so the caller's build replaces it. A
     build from another kernel source may prune ``lib`` at any moment.
@@ -333,14 +333,14 @@ def _open_kernel(lib: Path, key: str):
 
     with contextlib.suppress(OSError):
         if _intact(lib, key):
-            return ctypes.CDLL(str(lib)).packlat_slice
+            return ctypes.CDLL(str(lib))
     lib.unlink(missing_ok=True)
     return None
 
 
 @lru_cache(maxsize=None)
 def _load_kernel():
-    """The compiled slice function, or None when it cannot be built or loaded.
+    """The compiled kernel library, or None when it cannot be built or loaded.
 
     The library is built once per CRC-32 of its source and compiler
     command in ``~/.cache/packlat``. A cached library that is damaged (its
@@ -352,24 +352,28 @@ def _load_kernel():
         cache = Path(_KERNEL_CACHE).expanduser()
         key = _kernel_key()
         found = sorted(cache.glob(f"kernel-{key}-*.so"))
-        fn = _open_kernel(found[0], key) if found else None
-        if fn is None:
-            fn = _open_kernel(_build_kernel(cache, key), key)
-        if fn is None:
+        lib = _open_kernel(found[0], key) if found else None
+        if lib is None:
+            lib = _open_kernel(_build_kernel(cache, key), key)
+        if lib is None:
             return None
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
     import ctypes
 
     i32, i64, p32 = ctypes.c_int32, ctypes.c_int64, ctypes.POINTER(ctypes.c_int32)
-    fn.argtypes = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32),
-                   p32, p32, p32, ctypes.POINTER(i64), i32, i64)
-    fn.restype = ctypes.c_int
-    return fn
+    p64 = ctypes.POINTER(i64)
+    engine = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32), p32, p32, p32, p64)
+    lib.packlat_slice.argtypes = (*engine, i32, i64)
+    lib.packlat_batch.argtypes = (*engine, i32, i64, p32, p64, i64)
+    lib.packlat_slice.restype = lib.packlat_batch.restype = ctypes.c_int
+    return lib
 
 
 _NEVER = 1 << 62  # a node count no run reaches
-_SLICE_STATUS = (None, SAT, UNSAT)  # the kernel's return codes
+_SLICE_STATUS = (None, SAT, UNSAT)  # the kernel's slice return codes
+_LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # and its batch return codes
+_OUT = 5  # a batch's outputs per unit: status code, nodes, tests, calls, max_pos
 
 
 class _Engine:
@@ -381,7 +385,9 @@ class _Engine:
     with one contract: a slice returns None right after the assignment
     that brings ``nodes`` to ``limit``, SAT when every cell is colored,
     and UNSAT when the cell at ``floor`` runs out of colors. ``run``
-    handles all events between slices.
+    handles all events between slices. Both routes also run work units
+    in batches with one contract, that of ``packlat_batch`` in
+    ``_kernel.c``; ``run_units`` handles the events between batch calls.
     """
 
     def __init__(self, grid: GridSpec, naive: bool = False):
@@ -396,11 +402,14 @@ class _Engine:
         self.tests = 0
         self.calls = 0
         self.max_pos = 0
+        self.unit = 0  # the batch's next unit, or its unit in flight if live
+        self.live = False
         kernel = None if naive or self.k > _KERNEL_COLORS else _load_kernel()
         if kernel is None:
             self.route = "naive"
             self.cell_colors = list(self.tables.anchor_at)
             self._place, self._slice = self._place_naive, self._slice_naive
+            self._batch = self._batch_naive
         else:
             import ctypes
 
@@ -412,8 +421,9 @@ class _Engine:
             self._cbranch = (ctypes.c_int32 * n)()
             self._jtop = (ctypes.c_int32 * (n + 1))()
             self._journal = (ctypes.c_int32 * len(self._csr[2]))()
-            self._state = (ctypes.c_int64 * 6)()  # as _slice_c packs it
+            self._state = (ctypes.c_int64 * 8)()  # as _batch_c packs it
             self._place, self._slice = self._place_c, self._slice_c
+            self._batch = self._batch_c
 
     def replay(self, decisions, error_cls) -> None:
         """Re-apply a decision sequence without counting any work.
@@ -428,12 +438,8 @@ class _Engine:
                 f"{len(decisions)} decisions exceed the {self.n_free} open cells"
             )
         for color in decisions:
-            if not 1 <= color <= k:
-                raise error_cls(f"decision color {color} outside 1..{k}")
-            if not self._place(color):
-                raise error_cls(
-                    f"decision {self.pos} (color {color}) is inadmissible"
-                )
+            if not (1 <= color <= k and self._place(color)):
+                raise error_cls(_bad_decision(self.pos, color, k))
             self.branch.append(color)
             self.pos += 1
         self.max_pos = max(self.max_pos, self.pos)
@@ -444,6 +450,12 @@ class _Engine:
             return False
         colors[self.tables.free[self.pos]] = color
         return True
+
+    def _unplace_naive(self) -> int:
+        """Take back the last decision on the naive route; return its color."""
+        self.pos -= 1
+        self.cell_colors[self.tables.free[self.pos]] = 0
+        return self.branch.pop()
 
     def _place_c(self, color: int) -> bool:
         p, forb, bit = self.pos, self._forb, 1 << (color - 1)
@@ -509,16 +521,100 @@ class _Engine:
                 on_checkpoint(Checkpoint(self.grid, tuple(self.branch), nodes))
                 next_checkpoint += checkpoint_every
 
+    def run_units(self, prefixes) -> list[UnitOutcome]:
+        """Search the subtree below each prefix in turn on this fresh engine.
+
+        The prefixes have one length and come in DFS order, so consecutive
+        units share the most decisions. Nodes count only below the prefix,
+        as for ``solve_unit``. A decision out of range or inadmissible
+        raises ``CorruptUnit``.
+        """
+        d = len(prefixes[0]) if prefixes else 0
+        if any(len(prefix) != d for prefix in prefixes):
+            raise ValueError("the prefixes of one batch must have one length")
+        if d > self.n_free:
+            raise CorruptUnit(f"{d} decisions exceed the {self.n_free} open cells")
+        m = len(prefixes)
+        units, out = prefixes, [0] * (_OUT * m)
+        if self.route == "c":
+            import ctypes
+
+            units = _int32_array(prefixes)
+            out = (ctypes.c_int64 * len(out))()
+        colorings = {}
+        while (code := self._batch(units, d, m, out, _INTERRUPT_POLL)) != _DONE:
+            if code == _SAT:
+                colorings[self.unit - 1] = self.verified_coloring()
+            elif code == _CORRUPT:
+                raise CorruptUnit(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
+        out = out[:]
+        frontier = self.tables.frontier_cells
+        return [
+            UnitOutcome(prefix, _SLICE_STATUS[out[j]], out[j + 1], colorings.get(i),
+                        out[j + 2], out[j + 3], frontier(out[j + 4]), self.route)
+            for i, (prefix, j) in enumerate(zip(prefixes, range(0, _OUT * m, _OUT)))
+        ]
+
+    def verified_coloring(self) -> list[list[int]]:
+        coloring = self.coloring_rows()
+        violation = verify(self.grid, coloring)
+        if violation is not None:
+            raise RuntimeError(f"internal error: SAT coloring fails verify: {violation}")
+        return coloring
+
     def _slice_c(self, floor: int, limit: int) -> str | None:
         st = self._state
-        st[:] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos)
-        code = self._kernel(
+        st[:6] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos)
+        code = self._kernel.packlat_slice(
             self.n_free, self.k, *self._csr, self._forb, self._cbranch,
             self._jtop, self._journal, st, floor, min(limit, _NEVER),
         )
-        self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos = st
+        self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos = st[:6]
         self.branch[:] = self._cbranch[:self.pos]
         return _SLICE_STATUS[code]
+
+    def _batch_c(self, flat, d: int, m: int, out, budget: int) -> int:
+        st = self._state
+        st[:] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
+                 self.unit, self.live)
+        code = self._kernel.packlat_batch(
+            self.n_free, self.k, *self._csr, self._forb, self._cbranch,
+            self._jtop, self._journal, st, d, m, flat, out, budget,
+        )
+        (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
+         self.unit, self.live) = st
+        if code == _SAT:
+            self.branch[:] = self._cbranch[:self.pos]
+        return code
+
+    def _batch_naive(self, prefixes, d: int, m: int, out: list, budget: int) -> int:
+        """``packlat_batch`` on the naive route, as ``_slice_naive`` is its
+        slice, except that a corrupt decision raises ``CorruptUnit`` here."""
+        while self.unit < m:
+            if not self.live:
+                prefix = prefixes[self.unit]
+                shared = 0
+                while shared < min(self.pos, d) and self.branch[shared] == prefix[shared]:
+                    shared += 1
+                while self.pos > shared:
+                    self._unplace_naive()
+                self.replay(prefix[shared:], CorruptUnit)
+                self.start, self.nodes, self.tests, self.max_pos = 1, 0, 0, d
+                self.calls = int(d < self.n_free)
+                self.live = True
+            before = self.nodes
+            status = self._slice_naive(d, before + budget)
+            if status is None:
+                return _LIMIT
+            budget -= self.nodes - before
+            j = _OUT * self.unit
+            out[j:j + _OUT] = (_SLICE_STATUS.index(status), self.nodes, self.tests,
+                               self.calls, self.max_pos)
+            self.unit += 1
+            self.live = False
+            if status == SAT:
+                return _SAT
+        return _DONE
 
     def _slice_naive(self, floor: int, limit: int) -> str | None:
         k = self.k
@@ -583,14 +679,34 @@ class _Engine:
         return status
 
 
+def _int32_array(prefixes):
+    """The prefixes end to end as a C int32 array."""
+    import array
+    import ctypes
+    import itertools
+
+    try:
+        flat = array.array("i", itertools.chain.from_iterable(prefixes))
+    except OverflowError:  # such a color is out of range all the same, as is 0
+        flat = array.array("i", (c if -2**31 <= c < 2**31 else 0 for p in prefixes for c in p))
+    return (ctypes.c_int32 * len(flat)).from_buffer(flat)
+
+
+def _bad_decision(pos: int, color: int, k: int) -> str:
+    """Why decision ``pos`` of a replayed branch or prefix cannot be placed."""
+    if not 1 <= color <= k:
+        return f"decision color {color} outside 1..{k}"
+    return f"decision {pos} (color {color}) is inadmissible"
+
+
 def _search(grid: GridSpec, naive: bool, decisions=(), error_cls=None, nodes: int = 0,
-            floor: int = 0, **events) -> SolveResult:
+            **events) -> SolveResult:
     """Replay ``decisions`` on a fresh engine, then run it from ``nodes`` on."""
     t0 = time.perf_counter()
     engine = _Engine(grid, naive=naive)
     engine.replay(decisions, error_cls)
     engine.nodes = nodes
-    status = engine.run(floor, **events)
+    status = engine.run(**events)
     stats = SearchStats(
         nodes=engine.nodes,
         tests=engine.tests,
@@ -601,10 +717,7 @@ def _search(grid: GridSpec, naive: bool, decisions=(), error_cls=None, nodes: in
     coloring = None
     checkpoint = None
     if status == SAT:
-        coloring = engine.coloring_rows()
-        violation = verify(engine.grid, coloring)
-        if violation is not None:
-            raise RuntimeError(f"internal error: SAT coloring fails verify: {violation}")
+        coloring = engine.verified_coloring()
     elif status == INTERRUPTED:
         checkpoint = Checkpoint(engine.grid, tuple(engine.branch), engine.nodes)
     return SolveResult(status=status, coloring=coloring, stats=stats,
@@ -669,7 +782,12 @@ def resume(
 
 def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
     """Search one work unit's subtree; nodes count only below the prefix."""
-    return _search(unit.grid, naive, unit.prefix, CorruptUnit, floor=len(unit.prefix))
+    t0 = time.perf_counter()
+    (outcome,) = _Engine(unit.grid, naive=naive).run_units([unit.prefix])
+    stats = SearchStats(nodes=outcome.nodes, tests=outcome.tests, calls=outcome.calls,
+                        max_depth=outcome.max_depth, elapsed=time.perf_counter() - t0)
+    return SolveResult(status=outcome.status, coloring=outcome.coloring, stats=stats,
+                       engine=outcome.engine)
 
 
 def check_split_depth(grid: GridSpec, depth: object) -> int:
@@ -695,13 +813,19 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     engine.n_free = depth  # cut the tree: a complete prefix counts as SAT
     units: list[WorkUnit] = []
     cum: list[int] = []
+    emitted, last = 0, ()
     while engine.run() == SAT:
-        units.append(WorkUnit(grid, tuple(engine.branch)))
+        prefix = tuple(engine.branch)
+        # in DFS order a unit adds the assignments below its longest common
+        # prefix with the unit before it to those on some emitted prefix
+        shared = len(last)
+        while last[:shared] != prefix[:shared]:
+            shared -= 1
+        emitted += depth - shared
+        units.append(WorkUnit(grid, prefix))
         cum.append(engine.nodes)
-        engine.pos -= 1  # undo the last decision and go on with its next color
-        engine.start = engine.branch.pop() + 1
-        engine.cell_colors[engine.tables.free[engine.pos]] = 0
-    emitted = len({u.prefix[:i] for u in units for i in range(1, depth + 1)})
+        last = prefix
+        engine.start = engine._unplace_naive() + 1  # go on with the next color
     return SplitResult(
         units=tuple(units),
         emitted_prefix_assignments=emitted,
@@ -762,36 +886,56 @@ def merge_outcomes(
     return UNSAT, None, sequential, unit_total
 
 
-def _unit_worker(unit: WorkUnit) -> UnitOutcome:
-    result = solve_unit(unit)
-    return UnitOutcome(prefix=unit.prefix, status=result.status, coloring=result.coloring,
-                       engine=result.engine, **result.stats.counters())
+def _unit_worker(task: tuple[GridSpec, list[tuple[int, ...]]]) -> list[UnitOutcome]:
+    grid, prefixes = task
+    return _Engine(grid).run_units(prefixes)
 
 
-def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None) -> SolveResult:
+def solve_parallel(
+    grid: GridSpec,
+    depth: int,
+    workers: int | None = None,
+    progress_every: int | None = None,
+    on_progress=None,
+) -> SolveResult:
     """Split the search and run every unit to completion across worker processes.
 
     The merged node count reproduces the sequential one exactly,
-    independent of scheduling. ``workers`` defaults to one per CPU.
+    independent of scheduling. ``workers`` defaults to one per CPU. Each
+    task is a run of contiguous units that one worker searches as one
+    batch. ``on_progress(units_done, units_total, unit_nodes)`` is invoked
+    as tasks finish, each time the unit nodes pass a multiple of
+    ``progress_every``.
     """
     import multiprocessing
     import signal
 
     t0 = time.perf_counter()
     split_result = split(grid, depth)
+    units = split_result.units
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(split_result.units) or 1))
+    workers = max(1, min(workers, len(units) or 1))
+    size = -(-len(units) // (4 * workers)) or 1  # the chunks of Pool.map
+    tasks = [(grid, [u.prefix for u in units[i:i + size]])
+             for i in range(0, len(units), size)]
 
+    outcomes: list[UnitOutcome] = []
+    nodes, next_progress = 0, progress_every or _NEVER
     with contextlib.ExitStack() as stack:
-        run_units = map
+        run_tasks = map
         if workers > 1:
             _load_kernel()  # build or load once here, not in every worker
             # a Ctrl-C stops this process alone; leaving the pool terminates the workers
             pool = multiprocessing.get_context().Pool(
                 workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-            run_units = stack.enter_context(pool).map
-        outcomes = list(run_units(_unit_worker, split_result.units))
+            run_tasks = stack.enter_context(pool).imap
+        for batch in run_tasks(_unit_worker, tasks):
+            outcomes += batch
+            nodes += sum(o.nodes for o in batch)
+            if nodes >= next_progress:
+                on_progress(len(outcomes), len(units), nodes)
+                next_progress = (nodes // progress_every + 1) * progress_every
 
     status, coloring, sequential, unit_total = merge_outcomes(split_result, outcomes)
     stats = SearchStats(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, reports, file formats."""
 
 import json
+import re
 
 import pytest
 
@@ -609,6 +610,21 @@ def test_progress_lines_go_to_stderr(capsys):
     assert code == 0
     assert "nodes=50" in err
     assert "rate=" in err
+
+
+def test_parallel_progress_lines_count_units_and_nodes(capsys):
+    argv = ["solve", "--width", "9", "--height", "7", "--k", "6", "--anchor", "5,4,4",
+            "--mode", "par", "--split-depth", "3", "--workers", "1"]
+    code, out, err = run(capsys, *argv, "--progress-every", "1000")
+    assert code == 10
+    lines = err.splitlines()
+    assert lines and all(
+        re.fullmatch(r"\[packlat\] units=\d+/125 nodes=[\d,]+ elapsed=\d+\.\ds rate=[\d,]+/s", line)
+        for line in lines), err
+    assert lines[-1].startswith("[packlat] units=125/125 nodes=1,378,176 ")
+    quiet = run(capsys, *argv, "--progress-every", "0")
+    assert quiet[::2] == (10, "")
+    assert stable(report_of(quiet[1])) == stable(report_of(out))
 
 
 def test_ctrl_c_before_the_search_exits_one_without_traceback(capsys, monkeypatch):

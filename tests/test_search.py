@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import random
+import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -368,6 +369,16 @@ def test_parallel_unit_sum_is_schedule_independent():
     assert len(totals) == 1
 
 
+def test_emitted_prefix_count_equals_the_set_of_emitted_prefixes():
+    anchored = GridSpec(4, 4, 5, anchors=((Position(2, 2), 3),))
+    cases = [(GridSpec(3, 3, 4), d) for d in (1, 2, 3, 9)]
+    cases += [(GridSpec(4, 4, 5), 3), (GridSpec(2, 2, 3), 4), (anchored, 4), (anchored, 15)]
+    for grid, depth in cases:
+        result = split(grid, depth)
+        emitted = {u.prefix[:i] for u in result.units for i in range(1, depth + 1)}
+        assert result.emitted_prefix_assignments == len(emitted), (grid, depth)
+
+
 # --- engine routes: compiled kernel, and naive rescans in pure Python ------
 
 ROUTES = ("c", "naive")
@@ -563,3 +574,71 @@ def test_kernel_backtracks_past_the_top_bit_of_its_word():
     engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
     assert engine.run(suspend_at=10) == UNSAT  # a wrapped shift loops
     assert (engine.nodes, engine.tests, engine.calls, engine.max_pos) == (1, 64, 2, 1)
+
+
+# --- work units in batches: one engine runs a list of units ----------------
+
+# a SAT unit between UNSAT ones; prefixes that fill the window; an anchor
+BATCH_TREES = [(GridSpec(4, 4, 5), 3), (GridSpec(2, 2, 3), 4), (GridSpec(5, 4, 5), 4),
+               (GridSpec(4, 4, 5, anchors=((Position(2, 2), 3),)), 4)]
+
+
+def fresh_unit(grid, prefix):
+    """A unit on its own naive engine: replay the prefix, then run to the floor."""
+    engine = search._Engine(grid, naive=True)
+    engine.replay(prefix, CorruptUnit)
+    status = engine.run(floor=len(prefix))
+    coloring = engine.coloring_rows() if status == SAT else None
+    return (prefix, status, engine.nodes, coloring, engine.tests, engine.calls,
+            engine.tables.frontier_cells(engine.max_pos))
+
+
+def batch(route, grid, prefixes):
+    engine = search._Engine(grid, naive=route == "naive")
+    assert engine.route == route
+    return [(o.prefix, o.status, o.nodes, o.coloring, o.tests, o.calls, o.max_depth)
+            for o in engine.run_units(prefixes)]
+
+
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
+def test_a_batch_matches_each_unit_on_a_fresh_engine(route):
+    for grid, depth in BATCH_TREES:
+        prefixes = [u.prefix for u in split(grid, depth).units]
+        expected = [fresh_unit(grid, p) for p in prefixes]
+        assert sum(e[2] for e in expected) < 50_000
+        assert batch(route, grid, prefixes) == expected, grid
+        if grid == GridSpec(4, 4, 5):
+            assert SAT in [e[1] for e in expected[1:-1]] and UNSAT in [e[1] for e in expected]
+        if depth == grid.n_cells:
+            assert {e[1:3] for e in expected} == {(SAT, 0)}
+
+
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
+def test_units_left_in_flight_between_calls_keep_their_counters(route, monkeypatch):
+    cases = [(grid, [u.prefix for u in split(grid, depth).units]) for grid, depth in BATCH_TREES]
+    whole = [batch(route, grid, prefixes) for grid, prefixes in cases]
+    monkeypatch.setattr(search, "_INTERRUPT_POLL", 5)
+    codes = []
+    for name in ("_batch_c", "_batch_naive"):
+        def counted(self, *args, run=getattr(search._Engine, name)):
+            codes.append(run(self, *args))
+            return codes[-1]
+        monkeypatch.setattr(search._Engine, name, counted)
+    assert [batch(route, grid, prefixes) for grid, prefixes in cases] == whole
+    assert codes.count(search._LIMIT) > 100  # units stayed in flight across calls
+    assert [batch("naive", grid, prefixes) for grid, prefixes in cases] == whole
+
+
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
+def test_a_corrupt_prefix_late_in_a_batch_is_rejected(route):
+    grid = GridSpec(3, 3, 4)
+    prefixes = [u.prefix for u in split(grid, 3).units]
+    for bad, message in [((1, 1, 2), "decision 1 (color 1) is inadmissible"),
+                         ((2, 5, 1), "decision color 5 outside 1..4"),
+                         ((2, 2**40, 1), f"decision color {2**40} outside 1..4"),
+                         ((2, 1, 2), "decision 2 (color 2) is inadmissible")]:
+        engine = search._Engine(grid, naive=route == "naive")
+        with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
+            engine.run_units(prefixes[:7] + [bad] + prefixes[7:])
+        with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
+            solve_unit(WorkUnit(grid, bad), naive=route == "naive")
