@@ -7,6 +7,10 @@ field is stable across runs of identical inputs in sequential mode.
 Exit codes: 0 = SAT / OK, 10 = UNSAT, 11 = verification violation,
 20 = search interrupted and a checkpoint written, 1 = any error
 (including usage errors and a Ctrl-C that writes no checkpoint).
+
+Each command imports the modules it runs when it runs: ``verify``,
+``render`` and ``chi`` never load the search, and a search never loads
+the oracle or the renderer.
 """
 
 from __future__ import annotations
@@ -15,12 +19,10 @@ import argparse
 import contextlib
 import json
 import os
-import platform
-import signal
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from packlat import __version__
 from packlat.coloring import (
@@ -31,32 +33,16 @@ from packlat.coloring import (
 )
 from packlat.errors import MalformedInput, PacklatError
 from packlat.grid import GridSpec, Position
-from packlat.oracle import packing_chromatic_number
-from packlat.render import render_svg
-from packlat.search import (
-    DEFAULT_PROGRESS_EVERY,
-    INTERRUPTED,
-    SAT,
-    UNSAT,
-    Checkpoint,
-    SolveResult,
-    UnitOutcome,
-    WorkUnit,
-    check_split_depth,
-    merge_outcomes,
-    resume,
-    solve,
-    solve_parallel,
-    solve_unit,
-    split,
-)
+
+if TYPE_CHECKING:
+    from packlat.search import Checkpoint, SolveResult
 
 CONVENTION = (
     "cells addressed as (col,row), 1-indexed; window is width columns by "
     "height rows; scan order row-major, row 1 first"
 )
 
-STATUS_EXIT = {SAT: 0, UNSAT: 10, INTERRUPTED: 20}
+DEFAULT_PROGRESS_EVERY = 10**8
 EXIT_VIOLATION = 11
 _GRID_FILE_HELP = "grid spec JSON file (alternative to --width/--height/--k)"
 MANIFEST_VERSION = 1
@@ -151,7 +137,7 @@ def _volatile(t0_wall: float, elapsed: float, engine: str | None) -> dict:
     return {
         "started_at_unix": t0_wall,
         "elapsed_seconds": elapsed,
-        "host": platform.node(),
+        "host": os.uname().nodename,
         "pid": os.getpid(),
         "engine": engine,
     }
@@ -202,8 +188,16 @@ def lower_bound_note(grid: GridSpec) -> dict:
     return {"claim": claim, "argument": argument, "assumption": assumption}
 
 
+def _exit_code(status: str) -> int:
+    from packlat.search import INTERRUPTED, SAT, UNSAT
+
+    return {SAT: 0, UNSAT: 10, INTERRUPTED: 20}[status]
+
+
 def _report(grid: GridSpec, mode: str, status: str, stats: dict, witness, **fields) -> dict:
     """The fields every run and merge report carries, plus the given ones."""
+    from packlat.search import UNSAT
+
     return {
         "tool": "packlat",
         "version": __version__,
@@ -231,7 +225,7 @@ def build_report(
         volatile=_volatile(t0_wall, result.stats.elapsed, result.engine),
     )
     if result.parallel is not None:
-        report["parallel"] = asdict(result.parallel)
+        report["parallel"] = vars(result.parallel)
     if extra:
         report.update(extra)
     return report
@@ -276,6 +270,8 @@ def _print_progress(t0: float, where: str, nodes: int) -> None:
 
 def _run_sequential(args, search, start):
     """Shared driver for cmd_solve (seq) and cmd_resume: ``search(start, ...)``."""
+    import signal
+
     if args.checkpoint_every and not args.checkpoint_file:
         raise _UsageError("--checkpoint-every needs --checkpoint-file")
     hits = []  # the SIGINTs received during the search
@@ -302,17 +298,19 @@ def _run_sequential(args, search, start):
 def _finish_run(args, grid: GridSpec, mode: str, flags: dict, result: SolveResult,
                 t0_wall: float, extra: dict, checkpoint_path: str | None = None) -> int:
     """Write the checkpoint and witness files a result calls for, then the report."""
-    if result.status == INTERRUPTED:
+    if result.checkpoint is not None:  # the run was interrupted
         _write_checkpoint(checkpoint_path, result.checkpoint)
         extra["checkpoint_file"] = checkpoint_path
     if result.coloring is not None and args.witness_file:
         _write_witness(args.witness_file, grid, result.coloring)
         extra["witness_file"] = args.witness_file
     _emit_report(build_report(grid, mode, flags, result, t0_wall, extra))
-    return STATUS_EXIT[result.status]
+    return _exit_code(result.status)
 
 
 def cmd_solve(args) -> int:
+    from packlat.search import solve, solve_parallel
+
     grid = _grid_from_args(args)
     t0_wall = time.time()
     flags = {
@@ -345,6 +343,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    from packlat.search import Checkpoint, resume
+
     with _input_file(args.checkpoint) as data:
         checkpoint = Checkpoint.from_dict(data)
     grid = checkpoint.grid
@@ -377,6 +377,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from packlat.oracle import packing_chromatic_number
+
     value = packing_chromatic_number(args.width, args.height, args.cap)
     print(f">{args.cap}" if value is None else str(value))
     return 0
@@ -384,6 +386,8 @@ def cmd_chi(args) -> int:
 
 def cmd_split(args) -> int:
     """Write unit i of the split to ``unit_{i:04d}.json``, then ``split.json``."""
+    from packlat.search import split
+
     grid = _grid_from_args(args)
     units = split(grid, args.split_depth).units
     out_dir = Path(args.out_dir)
@@ -406,6 +410,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_solve_unit(args) -> int:
+    from packlat.search import WorkUnit, solve_unit
+
     with _input_file(args.unit) as data:
         unit = WorkUnit.from_dict(data)
     t0_wall = time.time()
@@ -433,6 +439,9 @@ def cmd_merge(args) -> int:
     is searched once a report shares the manifest's grid, so a forged grid
     fails at once. ``merge_outcomes`` checks that the reports cover the split.
     """
+    from packlat.search import (SAT, UNSAT, UnitOutcome, WorkUnit, check_split_depth,
+                                merge_outcomes, split)
+
     with _input_file(args.manifest) as manifest:
         (version,) = _fields(manifest, "version")
         if version != MANIFEST_VERSION:
@@ -484,10 +493,12 @@ def cmd_merge(args) -> int:
             return 1
         merged["merge"]["matches_sequential_nodes"] = args.expect_sequential_nodes
     _emit_report(merged)
-    return STATUS_EXIT[status]
+    return _exit_code(status)
 
 
 def cmd_render(args) -> int:
+    from packlat.render import render_svg
+
     _, _, rows = _coloring_from_args(args)
     rendered = render_svg(rows) if args.format == "svg" else format_coloring_text(rows)
     if args.out:

@@ -12,14 +12,13 @@ A complete coloring is exchanged either as plain text (``height`` lines of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from packlat.errors import MalformedInput
 from packlat.grid import GridSpec, Position, distance, json_int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A witness that two cells break the packing rule for their color."""
 
     first: Position

@@ -10,7 +10,6 @@ distance computations here use the closed form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from packlat.errors import MalformedInput
@@ -38,48 +37,45 @@ def distance(a: Position, b: Position) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A finite window of the lattice plus a color budget and anchors.
-
-    ``anchors`` holds precolored cells as (Position, color) pairs. The
-    constructor validates that anchors lie inside the window, occupy
-    pairwise distinct cells, use colors within the budget, and are
-    mutually consistent as a packing coloring. Instances are immutable
-    and safe to share across workers.
-    """
-
+class _GridFields(NamedTuple):
     width: int
     height: int
     max_color: int
     anchors: tuple[tuple[Position, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise MalformedInput(
-                f"window dimensions must be >= 1, got {self.width}x{self.height}"
-            )
-        if self.max_color < 1:
-            raise MalformedInput(f"max_color must be >= 1, got {self.max_color}")
-        normalized = tuple(
-            (Position(int(p[0]), int(p[1])), int(c)) for p, c in self.anchors
-        )
+
+class GridSpec(_GridFields):
+    """A finite window of the lattice plus a color budget and anchors.
+
+    ``anchors`` holds precolored cells as (Position, color) pairs. The
+    constructor validates that anchors lie inside the window, occupy
+    pairwise distinct cells, use colors within the budget, and are
+    mutually consistent as a packing coloring. Every other way to make
+    one (``_replace``, ``_make``, copying and unpickling) goes through the
+    constructor. Instances are immutable and safe to share across workers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, max_color: int,
+                anchors: tuple[tuple[Position, int], ...] = ()) -> "GridSpec":
+        if width < 1 or height < 1:
+            raise MalformedInput(f"window dimensions must be >= 1, got {width}x{height}")
+        if max_color < 1:
+            raise MalformedInput(f"max_color must be >= 1, got {max_color}")
+        normalized = tuple((Position(int(p[0]), int(p[1])), int(c)) for p, c in anchors)
         # store in scan order so serialization is deterministic
-        normalized = tuple(
-            sorted(normalized, key=lambda pc: (pc[0].row, pc[0].col))
-        )
-        object.__setattr__(self, "anchors", normalized)
+        normalized = tuple(sorted(normalized, key=lambda pc: (pc[0].row, pc[0].col)))
+        self = super().__new__(cls, width, height, max_color, normalized)
         seen: set[Position] = set()
         for pos, color in normalized:
             if not self.contains(pos):
-                raise MalformedInput(f"anchor {pos} outside {self.width}x{self.height} window")
+                raise MalformedInput(f"anchor {pos} outside {width}x{height} window")
             if pos in seen:
                 raise MalformedInput(f"duplicate anchor position {pos}")
             seen.add(pos)
-            if not 1 <= color <= self.max_color:
-                raise MalformedInput(
-                    f"anchor color {color} at {pos} outside 1..{self.max_color}"
-                )
+            if not 1 <= color <= max_color:
+                raise MalformedInput(f"anchor color {color} at {pos} outside 1..{max_color}")
         for i, (p, c) in enumerate(normalized):
             for q, d in normalized[i + 1:]:
                 if c == d and distance(p, q) <= c:
@@ -87,6 +83,14 @@ class GridSpec:
                         f"anchors {p} and {q} share color {c} at distance "
                         f"{distance(p, q)} <= {c}"
                     )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GridSpec":  # _replace builds through this
+        return cls(*iterable)
+
+    def __reduce__(self):  # every pickle protocol rebuilds through __new__
+        return GridSpec, tuple(self)
 
     @property
     def n_cells(self) -> int:

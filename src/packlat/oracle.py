@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from packlat.errors import TooLarge
 from packlat.grid import GridSpec
@@ -19,8 +19,7 @@ from packlat.grid import GridSpec
 SIZE_GUARD = 10**8
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     sat: bool
     witness: list[list[int]] | None
     total_assignments_examined: int

@@ -31,9 +31,10 @@ import contextlib
 import os
 import time
 import zlib
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from packlat.coloring import verify
 from packlat.errors import (
@@ -49,13 +50,11 @@ UNSAT = "UNSAT"
 INTERRUPTED = "INTERRUPTED"
 
 CHECKPOINT_VERSION = 1
-DEFAULT_PROGRESS_EVERY = 10**8
 
 _INTERRUPT_POLL = 1 << 16  # nodes between interrupt-flag polls
 
 
-@dataclass
-class SearchStats:
+class SearchStats(NamedTuple):
     """Deterministic work accounting for one search run."""
 
     nodes: int = 0
@@ -73,8 +72,7 @@ class SearchStats:
         }
 
 
-@dataclass(frozen=True)
-class WorkUnit:
+class WorkUnit(NamedTuple):
     """A consistent prefix of scan-order decisions, naming a subtree.
 
     ``prefix[i]`` is the color of the i-th non-anchor cell in scan order.
@@ -98,8 +96,7 @@ class WorkUnit:
         return cls(grid=grid, prefix=prefix)
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """A suspended sequential search: the branch in progress plus nodes so far."""
 
     grid: GridSpec
@@ -134,8 +131,7 @@ class Checkpoint:
         return cls(grid=grid, branch=branch, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Work units plus the bookkeeping needed to reconcile node counts.
 
     ``assignments_at_emission[i]`` is the number of assignments the
@@ -152,26 +148,24 @@ class SplitResult:
     assignments_at_emission: tuple[int, ...]
 
 
-@dataclass
-class ParallelInfo:
+class ParallelInfo(SimpleNamespace):
     """How a parallel run was carried out.
 
     Every unit runs to completion, so the merged counts always reproduce
-    the sequential run; the two constant flags say so in reports.
+    the sequential run; the two constant flags say so in reports. The
+    fields are the instance's ``vars``, which reports print.
     """
 
-    depth: int
-    units: int
-    unit_nodes_total: int
-    emitted_prefix_assignments: int
-    prefix_overhead: int
-    workers: int
-    count_reproducible: bool = True
-    early_exit: bool = False
+    def __init__(self, depth: int, units: int, unit_nodes_total: int,
+                 emitted_prefix_assignments: int, prefix_overhead: int, workers: int,
+                 count_reproducible: bool = True, early_exit: bool = False):
+        super().__init__(depth=depth, units=units, unit_nodes_total=unit_nodes_total,
+                         emitted_prefix_assignments=emitted_prefix_assignments,
+                         prefix_overhead=prefix_overhead, workers=workers,
+                         count_reproducible=count_reproducible, early_exit=early_exit)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     coloring: list[list[int]] | None
     stats: SearchStats
@@ -192,6 +186,7 @@ class _Tables:
         self.free: tuple[int, ...] = tuple(i for i in range(n) if not anchor_at[i])
         self.k = grid.max_color
         self.anchor_at = tuple(anchor_at)
+        self._naive_scan: list[tuple[tuple[int, ...], ...]] = []
 
     def _distance(self, a: int, b: int) -> int:
         w = self.grid.width
@@ -208,25 +203,26 @@ class _Tables:
                         rows[p] |= 1 << (ac - 1)
         return tuple(rows)
 
-    @cached_property
-    def naive_scan(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def naive_scan(self, upto: int) -> list[tuple[tuple[int, ...], ...]]:
         """Naive route: per (free cell, color), the cells that can already be
-        colored when that cell is the frontier: earlier free cells plus
-        anchors anywhere, within distance c."""
-        anchor_at, free = self.anchor_at, self.free
-        fpos = {cell: p for p, cell in enumerate(free)}
-        naive_scan = []
-        for p, cell in enumerate(free):
-            per_color = []
-            for c in range(1, self.k + 1):
-                candidates = [
-                    q for q in range(len(anchor_at))
-                    if q != cell and self._distance(cell, q) <= c
-                    and (anchor_at[q] or fpos[q] < p)
-                ]
-                per_color.append(tuple(candidates))
-            naive_scan.append(tuple(per_color))
-        return tuple(naive_scan)
+        colored when that cell is the frontier: earlier cells plus anchors
+        anywhere, within distance c, in scan order.
+
+        Rows are built on first use, for the first ``upto`` free cells, from
+        the square of side 2k+1 around each cell; a split reads only the
+        rows above its depth.
+        """
+        w, h, k, scan = self.grid.width, self.grid.height, self.k, self._naive_scan
+        while len(scan) < upto:
+            cell = self.free[len(scan)]
+            r0, c0 = divmod(cell, w)
+            near = [(abs(r - r0) + abs(c - c0), r * w + c)
+                    for r in range(max(0, r0 - k), min(h, r0 + k + 1))
+                    for c in range(max(0, c0 - k), min(w, c0 + k + 1))]
+            near = [(d, q) for d, q in near
+                    if 0 < d <= k and (q < cell or self.anchor_at[q])]
+            scan.append(tuple(tuple(q for d, q in near if d <= c) for c in range(1, k + 1)))
+        return scan
 
     @cached_property
     def csr(self):
@@ -446,7 +442,8 @@ class _Engine:
 
     def _place_naive(self, color: int) -> bool:
         colors = self.cell_colors
-        if any(colors[q] == color for q in self.tables.naive_scan[self.pos][color - 1]):
+        scan = self.tables.naive_scan(self.pos + 1)
+        if any(colors[q] == color for q in scan[self.pos][color - 1]):
             return False
         colors[self.tables.free[self.pos]] = color
         return True
@@ -521,13 +518,15 @@ class _Engine:
                 on_checkpoint(Checkpoint(self.grid, tuple(self.branch), nodes))
                 next_checkpoint += checkpoint_every
 
-    def run_units(self, prefixes) -> list[UnitOutcome]:
+    def run_units(self, prefixes) -> tuple[list[int], dict[int, list[list[int]]]]:
         """Search the subtree below each prefix in turn on this fresh engine.
 
         The prefixes have one length and come in DFS order, so consecutive
         units share the most decisions. Nodes count only below the prefix,
         as for ``solve_unit``. A decision out of range or inadmissible
-        raises ``CorruptUnit``.
+        raises ``CorruptUnit``. Returns plain data, ``_OUT`` numbers per
+        unit and the colorings of the SAT units by index, which
+        ``_unit_outcomes`` turns into outcomes.
         """
         d = len(prefixes[0]) if prefixes else 0
         if any(len(prefix) != d for prefix in prefixes):
@@ -547,13 +546,7 @@ class _Engine:
                 colorings[self.unit - 1] = self.verified_coloring()
             elif code == _CORRUPT:
                 raise CorruptUnit(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
-        out = out[:]
-        frontier = self.tables.frontier_cells
-        return [
-            UnitOutcome(prefix, _SLICE_STATUS[out[j]], out[j + 1], colorings.get(i),
-                        out[j + 2], out[j + 3], frontier(out[j + 4]), self.route)
-            for i, (prefix, j) in enumerate(zip(prefixes, range(0, _OUT * m, _OUT)))
-        ]
+        return out[:], colorings
 
     def verified_coloring(self) -> list[list[int]]:
         coloring = self.coloring_rows()
@@ -619,7 +612,7 @@ class _Engine:
     def _slice_naive(self, floor: int, limit: int) -> str | None:
         k = self.k
         n = self.n_free
-        scan = self.tables.naive_scan
+        scan = self.tables.naive_scan(n)
         free = self.tables.free
         colors = self.cell_colors
         branch = self.branch
@@ -783,7 +776,9 @@ def resume(
 def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
     """Search one work unit's subtree; nodes count only below the prefix."""
     t0 = time.perf_counter()
-    (outcome,) = _Engine(unit.grid, naive=naive).run_units([unit.prefix])
+    engine = _Engine(unit.grid, naive=naive)
+    (outcome,) = _unit_outcomes(unit.grid, [unit.prefix], *engine.run_units([unit.prefix]),
+                                engine.route)
     stats = SearchStats(nodes=outcome.nodes, tests=outcome.tests, calls=outcome.calls,
                         max_depth=outcome.max_depth, elapsed=time.perf_counter() - t0)
     return SolveResult(status=outcome.status, coloring=outcome.coloring, stats=stats,
@@ -834,8 +829,7 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     )
 
 
-@dataclass(frozen=True)
-class UnitOutcome:
+class UnitOutcome(NamedTuple):
     """What one work unit reported back: enough to merge deterministically."""
 
     prefix: tuple[int, ...]
@@ -886,9 +880,23 @@ def merge_outcomes(
     return UNSAT, None, sequential, unit_total
 
 
-def _unit_worker(task: tuple[GridSpec, list[tuple[int, ...]]]) -> list[UnitOutcome]:
+def _unit_outcomes(grid: GridSpec, prefixes, out: list[int], colorings: dict,
+                   engine: str) -> list[UnitOutcome]:
+    """The outcomes of a batch from what ``_Engine.run_units`` returned."""
+    frontier = _tables(grid).frontier_cells
+    return [
+        UnitOutcome(prefix, _SLICE_STATUS[out[j]], out[j + 1], colorings.get(i),
+                    out[j + 2], out[j + 3], frontier(out[j + 4]), engine)
+        for i, (prefix, j) in enumerate(zip(prefixes, range(0, len(out), _OUT)))
+    ]
+
+
+def _unit_worker(task: tuple[GridSpec, list[tuple[int, ...]]]) -> tuple:
+    """Run a task's batch; return numbers, colorings and route, which pickle
+    small, and not the prefixes, which the parent holds."""
     grid, prefixes = task
-    return _Engine(grid).run_units(prefixes)
+    engine = _Engine(grid)
+    return (*engine.run_units(prefixes), engine.route)
 
 
 def solve_parallel(
@@ -930,7 +938,8 @@ def solve_parallel(
             pool = multiprocessing.get_context().Pool(
                 workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
             run_tasks = stack.enter_context(pool).imap
-        for batch in run_tasks(_unit_worker, tasks):
+        for (_, prefixes), result in zip(tasks, run_tasks(_unit_worker, tasks)):
+            batch = _unit_outcomes(grid, prefixes, *result)
             outcomes += batch
             nodes += sum(o.nodes for o in batch)
             if nodes >= next_progress:

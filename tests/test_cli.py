@@ -688,6 +688,34 @@ def test_only_search_commands_load_the_kernel(capsys, tmp_path):
     assert child.stderr.split() == ["False"] * 5 + [kernel_loaded]
 
 
+def test_a_fresh_process_imports_only_what_its_command_runs(tmp_path):
+    # without bytecode caches a process compiles every module it imports,
+    # so short commands load no search and no command loads dataclasses
+    import subprocess
+    import sys
+
+    (tmp_path / "w.txt").write_text("1 2\n3 1\n")
+    grid = ["--width", "2", "--height", "2", "--k", "3"]
+    heavy = {"dataclasses", "inspect", "multiprocessing"}
+    short = heavy | {"packlat.search", "ctypes"}
+    cases = [
+        (["verify", "w.txt", *grid], short),
+        (["render", "w.txt", *grid, "--format", "svg"], short),
+        (["chi", "--width", "2", "--height", "2"], short),
+        (["solve", *grid], heavy | {"packlat.oracle", "packlat.render"}),
+    ]
+    for argv, unwanted in cases:
+        script = (
+            "import sys\n"
+            "from packlat.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, sorted(set(sys.modules) & {unwanted!r}), file=sys.stderr)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, timeout=60, cwd=tmp_path, env=_child_env())
+        assert child.stderr.splitlines()[-1] == "0 []", (argv, child.stderr)
+
+
 def test_sigint_writes_checkpoint_and_resume_finishes(tmp_path):
     # end to end through a real process: interrupt, get exit 20 plus a
     # checkpoint, resume to the same final count as an uninterrupted run

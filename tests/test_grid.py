@@ -1,6 +1,8 @@
 """Window geometry: distances, scan order, balls, grid validation."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,6 +89,33 @@ def test_ball_consistency_exhaustive():
                         assert sorted(got) == expected
 
 
+def test_naive_scan_rows_exhaustive():
+    # the naive route's rows: per free cell and color c, the cells within
+    # distance c that are colored when it is the frontier, in scan order
+    for w in range(1, 7):
+        for h in range(1, 7):
+            for anchors in ((), ((Position(1 + w // 2, 1 + h // 2), 3),)):
+                grid = GridSpec(w, h, 5, anchors)
+                tables = search._Tables(grid)
+                anchored = {grid.index_of(pos) for pos, _ in grid.anchors}
+                rows = tables.naive_scan(len(tables.free))
+                assert len(rows) == len(tables.free)
+                for cell, per_color in zip(tables.free, rows):
+                    center = grid.position_at(cell)
+                    assert per_color == tuple(
+                        tuple(q for q in range(grid.n_cells) if q != cell
+                              and (q < cell or q in anchored)
+                              and distance(center, grid.position_at(q)) <= c)
+                        for c in range(1, 6))
+
+
+def test_split_builds_only_the_naive_rows_above_its_depth():
+    grid = GridSpec(9, 7, 6, anchors=((Position(5, 4), 4),))
+    search._tables.cache_clear()
+    assert len(search.split(grid, 6).units) == 2279
+    assert len(search._tables(grid)._naive_scan) == 6
+
+
 def test_gridspec_rejects_bad_dimensions():
     with pytest.raises(MalformedInput):
         GridSpec(0, 3, 2)
@@ -143,3 +172,38 @@ def test_gridspec_from_dict_rejects_garbage():
         GridSpec.from_dict({"width": 3, "height": 3})
     with pytest.raises(MalformedInput):
         GridSpec.from_json("{not json")
+
+
+def test_gridspec_is_an_immutable_value():
+    grid = GridSpec(4, 4, 5, anchors=((Position(3, 3), 4), (Position(2, 1), 1)))
+    same = GridSpec(4, 4, 5, anchors=((Position(2, 1), 1), (Position(3, 3), 4)))
+    assert (grid, hash(grid)) == (same, hash(same))
+    assert copy.copy(grid) == copy.deepcopy(grid) == grid
+    with pytest.raises(AttributeError):
+        grid.width = 5
+
+
+def test_gridspec_pickles_through_its_constructor():
+    # pool workers unpickle grids: an edited pickle must not make an invalid one
+    grid = GridSpec(97, 7, 6, anchors=((Position(5, 4), 4),))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(grid, protocol)
+        loaded = pickle.loads(data)
+        assert (type(loaded), loaded, hash(loaded)) == (GridSpec, grid, hash(grid))
+        width, forged_width = (b"K\x61", b"K\x00") if protocol else (b"I97\n", b"I0\n")
+        assert data.count(width) == 1, protocol
+        with pytest.raises(MalformedInput, match="window dimensions must be >= 1"):
+            pickle.loads(data.replace(width, forged_width))
+
+
+def test_gridspec_replace_and_make_validate_and_normalise():
+    grid = GridSpec(3, 3, 2)
+    with pytest.raises(MalformedInput, match="window dimensions"):
+        grid._replace(width=0)
+    with pytest.raises(MalformedInput, match="outside 3x3 window"):
+        grid._replace(anchors=((Position(4, 1), 1),))
+    with pytest.raises(MalformedInput, match="share color 2"):
+        GridSpec._make((3, 3, 2, ((Position(1, 1), 2), (Position(2, 2), 2))))
+    moved = grid._replace(anchors=((Position(2, 2), 1), (Position(1, 1), 2)))
+    assert type(moved) is GridSpec
+    assert moved.anchors == ((Position(1, 1), 2), (Position(2, 2), 1))

@@ -6,7 +6,6 @@ import json
 import random
 import re
 import shutil
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -355,7 +354,10 @@ def test_parallel_info_has_the_fields_perfbench_pins():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     info = solve_parallel(GridSpec(3, 3, 3), 1, workers=1).parallel
-    assert vars(info) == asdict(info)
+    assert vars(info) == {
+        "depth": 1, "units": 3, "unit_nodes_total": 25, "emitted_prefix_assignments": 3,
+        "prefix_overhead": 0, "workers": 1, "count_reproducible": True, "early_exit": False,
+    }
     assert vars(info).keys() == workloads.PAR_INFO.keys()
     assert (info.count_reproducible, info.early_exit) == (True, False)
 
@@ -596,8 +598,9 @@ def fresh_unit(grid, prefix):
 def batch(route, grid, prefixes):
     engine = search._Engine(grid, naive=route == "naive")
     assert engine.route == route
+    outcomes = search._unit_outcomes(grid, prefixes, *engine.run_units(prefixes), route)
     return [(o.prefix, o.status, o.nodes, o.coloring, o.tests, o.calls, o.max_depth)
-            for o in engine.run_units(prefixes)]
+            for o in outcomes]
 
 
 @pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
