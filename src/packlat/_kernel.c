@@ -1,6 +1,6 @@
 /* Compiled DFS kernel of packlat's scan-order search (see search.py).
 
-   One slice runs the tree from the state in st[] until a node count
+   A slice runs the tree from the state in st[] until a node count
    reaches `limit` (returns LIMIT right after that assignment), a complete
    coloring is found (SAT), or the cell at position `floor` runs out of
    colors (UNSAT). Counters and traversal order are those of the naive
@@ -38,10 +38,10 @@ static inline void unassign(uint32_t *forb, const int32_t *branch,
     for (int32_t j = jtop[p]; j < jtop[p + 1]; j++) forb[journal[j]] &= keep;
 }
 
-int packlat_slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
-                  const int32_t *nbr, uint32_t *forb, int32_t *branch,
-                  int32_t *jtop, int32_t *journal, int64_t *st,
-                  int32_t floor, int64_t limit)
+static int slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
+                 const int32_t *nbr, uint32_t *forb, int32_t *branch,
+                 int32_t *jtop, int32_t *journal, int64_t *st,
+                 int32_t floor, int64_t limit)
 {
     const uint32_t full = 0xffffffffu >> (32 - k);
     int64_t pos = st[POS], start = st[START], nodes = st[NODES];
@@ -71,19 +71,21 @@ int packlat_slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
     return status;
 }
 
-/* One batch runs the subtrees of m prefixes of d decisions each,
-   prefixes[i*d .. i*d + d), in turn from unit st[UNIT] on, with the
-   counters of unit i written to out[5*i ..] as status, nodes, tests,
-   calls, max_pos. Between two units the branch is undone only down to the
-   prefix they share. Returns DONE after the last unit; SAT right after a
-   SAT unit, its coloring in branch[]; CORRUPT with st[POS] at a decision
-   out of range or forbidden; and LIMIT once `budget` nodes are spent, the
-   unit in flight kept in st[] (st[LIVE] = 1) for the next call. */
+/* The one entry point. A batch runs the subtrees of m prefixes of d
+   decisions each, prefixes[i*d .. i*d + d), in turn from unit st[UNIT]
+   on, each slice down to `floor` (d: the unit's subtree; 0: the rest of
+   the tree from a resumed branch), with the counters of unit i written
+   to out[5*i ..] as status, nodes, tests, calls, max_pos. Between two
+   units the branch is undone only down to the prefix they share.
+   Returns DONE after the last unit; SAT right after a SAT unit, its
+   coloring in branch[]; CORRUPT with st[POS] at a decision out of range
+   or forbidden; and LIMIT once `budget` nodes are spent, the unit in
+   flight kept in st[] (st[LIVE] = 1) for the next call. */
 int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                   const int32_t *nbr, uint32_t *forb, int32_t *branch,
                   int32_t *jtop, int32_t *journal, int64_t *st,
-                  int32_t d, int64_t m, const int32_t *prefixes, int64_t *out,
-                  int64_t budget)
+                  int32_t d, int32_t floor, int64_t m, const int32_t *prefixes,
+                  int64_t *out, int64_t budget)
 {
     for (; st[UNIT] < m; st[UNIT]++, st[LIVE] = 0) {
         if (!st[LIVE]) {
@@ -102,8 +104,8 @@ int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
             st[CALLS] = d < n; st[MAX_POS] = d; st[LIVE] = 1;
         }
         int64_t before = st[NODES];
-        int status = packlat_slice(n, k, row, cnt, nbr, forb, branch, jtop, journal,
-                                   st, d, before + budget);
+        int status = slice(n, k, row, cnt, nbr, forb, branch, jtop, journal,
+                           st, floor, before + budget);
         if (status == LIMIT) return LIMIT;
         budget -= st[NODES] - before;
         int64_t *o = out + 5 * st[UNIT];

@@ -151,9 +151,10 @@ class SplitResult(NamedTuple):
 class ParallelInfo(SimpleNamespace):
     """How a parallel run was carried out.
 
-    Every unit runs to completion, so the merged counts always reproduce
-    the sequential run; the two constant flags say so in reports. The
-    fields are the instance's ``vars``, which reports print.
+    Every unit runs to completion, so the merged ``nodes`` always
+    reproduce the sequential run; the two constant flags say so in
+    reports. ``tests`` and ``calls`` are unit sums, without the split's
+    own work. The fields are the instance's ``vars``, which reports print.
     """
 
     def __init__(self, depth: int, units: int, unit_nodes_total: int,
@@ -290,7 +291,7 @@ def _build_kernel(cache: Path, key: str) -> Path:
 
     The file name carries a CRC-32 of the library's own bytes, so a
     damaged copy is recognised before it is loaded. Libraries cached
-    under any other key are deleted once the new one is in place.
+    under other keys stay: another checkout may be using them.
     """
     import subprocess
     import tempfile
@@ -305,10 +306,6 @@ def _build_kernel(cache: Path, key: str) -> Path:
             raise OSError(f"{_KERNEL_CC[0]} exited {proc.returncode}")
         target = cache / f"kernel-{key}-{_crc(Path(tmp).read_bytes())}.so"
         os.replace(tmp, target)
-        for lib in cache.glob("kernel-*.so"):
-            if not lib.name.startswith(f"kernel-{key}-"):
-                with contextlib.suppress(OSError):
-                    lib.unlink()
         return target
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -322,8 +319,9 @@ def _intact(lib: Path, key: str) -> bool:
 def _open_kernel(lib: Path, key: str):
     """The loaded ``lib``, or None when it is damaged or gone.
 
-    A library that fails is deleted, so the caller's build replaces it. A
-    build from another kernel source may prune ``lib`` at any moment.
+    A library that fails is deleted, so the caller's build replaces it.
+    Older versions of packlat prune the libraries of other kernel sources,
+    so ``lib`` may vanish at any moment.
     """
     import ctypes
 
@@ -359,16 +357,15 @@ def _load_kernel():
 
     i32, i64, p32 = ctypes.c_int32, ctypes.c_int64, ctypes.POINTER(ctypes.c_int32)
     p64 = ctypes.POINTER(i64)
-    engine = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32), p32, p32, p32, p64)
-    lib.packlat_slice.argtypes = (*engine, i32, i64)
-    lib.packlat_batch.argtypes = (*engine, i32, i64, p32, p64, i64)
-    lib.packlat_slice.restype = lib.packlat_batch.restype = ctypes.c_int
+    lib.packlat_batch.argtypes = (i32, i32, p32, p32, p32, ctypes.POINTER(ctypes.c_uint32),
+                                  p32, p32, p32, p64, i32, i32, i64, p32, p64, i64)
+    lib.packlat_batch.restype = ctypes.c_int
     return lib
 
 
 _NEVER = 1 << 62  # a node count no run reaches
-_SLICE_STATUS = (None, SAT, UNSAT)  # the kernel's slice return codes
-_LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # and its batch return codes
+_LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # the kernel's return codes
+_STATUS = (INTERRUPTED, SAT, UNSAT)  # a unit's status code; one left in flight reads 0
 _OUT = 5  # a batch's outputs per unit: status code, nodes, tests, calls, max_pos
 
 
@@ -377,13 +374,10 @@ class _Engine:
 
     ``route`` is "c" (the compiled kernel) or "naive" (ball rescans, for
     differential runs, and wherever the kernel is unavailable or
-    ``max_color`` exceeds its word). Both routes run the tree in slices
-    with one contract: a slice returns None right after the assignment
-    that brings ``nodes`` to ``limit``, SAT when every cell is colored,
-    and UNSAT when the cell at ``floor`` runs out of colors. ``run``
-    handles all events between slices. Both routes also run work units
-    in batches with one contract, that of ``packlat_batch`` in
-    ``_kernel.c``; ``run_units`` handles the events between batch calls.
+    ``max_color`` exceeds its word). Every search is a batch of prefixes,
+    each searched down to a floor, and both routes run batches with one
+    contract, that of ``packlat_batch`` in ``_kernel.c``. ``run`` handles
+    all events between batch calls.
     """
 
     def __init__(self, grid: GridSpec, naive: bool = False):
@@ -404,7 +398,6 @@ class _Engine:
         if kernel is None:
             self.route = "naive"
             self.cell_colors = list(self.tables.anchor_at)
-            self._place, self._slice = self._place_naive, self._slice_naive
             self._batch = self._batch_naive
         else:
             import ctypes
@@ -418,56 +411,7 @@ class _Engine:
             self._jtop = (ctypes.c_int32 * (n + 1))()
             self._journal = (ctypes.c_int32 * len(self._csr[2]))()
             self._state = (ctypes.c_int64 * 8)()  # as _batch_c packs it
-            self._place, self._slice = self._place_c, self._slice_c
             self._batch = self._batch_c
-
-    def replay(self, decisions, error_cls) -> None:
-        """Re-apply a decision sequence without counting any work.
-
-        Raises ``error_cls`` when a decision is out of range or lands on a
-        forbidden color, which is how corrupt units and checkpoints with
-        tampered branches surface.
-        """
-        k = self.k
-        if self.pos + len(decisions) > self.n_free:
-            raise error_cls(
-                f"{len(decisions)} decisions exceed the {self.n_free} open cells"
-            )
-        for color in decisions:
-            if not (1 <= color <= k and self._place(color)):
-                raise error_cls(_bad_decision(self.pos, color, k))
-            self.branch.append(color)
-            self.pos += 1
-        self.max_pos = max(self.max_pos, self.pos)
-
-    def _place_naive(self, color: int) -> bool:
-        colors = self.cell_colors
-        scan = self.tables.naive_scan(self.pos + 1)
-        if any(colors[q] == color for q in scan[self.pos][color - 1]):
-            return False
-        colors[self.tables.free[self.pos]] = color
-        return True
-
-    def _unplace_naive(self) -> int:
-        """Take back the last decision on the naive route; return its color."""
-        self.pos -= 1
-        self.cell_colors[self.tables.free[self.pos]] = 0
-        return self.branch.pop()
-
-    def _place_c(self, color: int) -> bool:
-        p, forb, bit = self.pos, self._forb, 1 << (color - 1)
-        if forb[p] & bit:
-            return False
-        row, cnt, nbr = self._csr
-        top = self._jtop[p]
-        for q in nbr[row[p]:row[p] + cnt[p * self.k + color - 1]]:
-            if not forb[q] & bit:
-                forb[q] |= bit
-                self._journal[top] = q
-                top += 1
-        self._jtop[p + 1] = top
-        self._cbranch[p] = color
-        return True
 
     def coloring_rows(self) -> list[list[int]]:
         colors = list(self.tables.anchor_at)
@@ -478,61 +422,31 @@ class _Engine:
 
     def run(
         self,
-        floor: int = 0,
+        prefixes,
+        floor: int | None = None,
+        error_cls=CorruptUnit,
+        nodes: int = 0,
         suspend_at: int | None = None,
         checkpoint_every: int | None = None,
         on_checkpoint=None,
         progress_every: int | None = None,
         on_progress=None,
         interrupted=None,
-    ) -> str:
-        nodes = self.nodes
-        stop_at = _NEVER if suspend_at is None else suspend_at
-        next_poll = nodes + _INTERRUPT_POLL  # a Ctrl-C lands between slices
-        next_progress = (
-            (nodes // progress_every + 1) * progress_every if progress_every else _NEVER
-        )
-        next_checkpoint = (
-            (nodes // checkpoint_every + 1) * checkpoint_every
-            if checkpoint_every else _NEVER
-        )
-        if self.pos < self.n_free:
-            self.calls += 1
-        while True:
-            status = self._slice(
-                floor, min(stop_at, next_poll, next_progress, next_checkpoint)
-            )
-            if status is not None:
-                return status
-            nodes = self.nodes
-            if nodes >= stop_at:
-                return INTERRUPTED
-            if nodes >= next_poll:
-                if interrupted is not None and interrupted():
-                    return INTERRUPTED
-                next_poll = nodes + _INTERRUPT_POLL
-            if nodes >= next_progress:
-                on_progress(nodes, self.tables.frontier_cells(self.pos))
-                next_progress += progress_every
-            if nodes >= next_checkpoint:
-                on_checkpoint(Checkpoint(self.grid, tuple(self.branch), nodes))
-                next_checkpoint += checkpoint_every
+    ) -> tuple[list[int], dict[int, list[list[int]]]]:
+        """Search below each prefix in turn, down to ``floor`` (default: the
+        prefix length). The prefixes have one length and come in DFS order.
 
-    def run_units(self, prefixes) -> tuple[list[int], dict[int, list[list[int]]]]:
-        """Search the subtree below each prefix in turn on this fresh engine.
-
-        The prefixes have one length and come in DFS order, so consecutive
-        units share the most decisions. Nodes count only below the prefix,
-        as for ``solve_unit``. A decision out of range or inadmissible
-        raises ``CorruptUnit``. Returns plain data, ``_OUT`` numbers per
-        unit and the colorings of the SAT units by index, which
-        ``_unit_outcomes`` turns into outcomes.
+        Returns plain data: ``_OUT`` numbers per unit and the colorings of
+        the SAT units by index. A decision out of range or inadmissible
+        raises ``error_cls``. The events read ``nodes + self.nodes``, the
+        count of the unit in flight; a suspension (``suspend_at`` or a true
+        ``interrupted()``) leaves that unit live, its status code 0. A
+        batch of several units only returns to Python every
+        ``_INTERRUPT_POLL`` nodes, so that a Ctrl-C lands.
         """
         d = len(prefixes[0]) if prefixes else 0
-        if any(len(prefix) != d for prefix in prefixes):
-            raise ValueError("the prefixes of one batch must have one length")
         if d > self.n_free:
-            raise CorruptUnit(f"{d} decisions exceed the {self.n_free} open cells")
+            raise error_cls(f"{d} decisions exceed the {self.n_free} open cells")
         m = len(prefixes)
         units, out = prefixes, [0] * (_OUT * m)
         if self.route == "c":
@@ -540,13 +454,41 @@ class _Engine:
 
             units = _int32_array(prefixes)
             out = (ctypes.c_int64 * len(out))()
-        colorings = {}
-        while (code := self._batch(units, d, m, out, _INTERRUPT_POLL)) != _DONE:
+        floor = d if floor is None else floor
+        stop_at = _NEVER if suspend_at is None else suspend_at
+        next_poll = nodes + _INTERRUPT_POLL  # a Ctrl-C lands between calls
+        next_progress = (
+            (nodes // progress_every + 1) * progress_every if progress_every else _NEVER
+        )
+        next_checkpoint = (
+            (nodes // checkpoint_every + 1) * checkpoint_every
+            if checkpoint_every else _NEVER
+        )
+        colorings, count = {}, nodes + self.nodes
+        while True:
+            budget = _INTERRUPT_POLL if m > 1 else (
+                min(stop_at, next_poll, next_progress, next_checkpoint) - count)
+            code = self._batch(units, d, floor, m, out, budget)
+            count = nodes + self.nodes
+            if code == _DONE:
+                return out[:], colorings
             if code == _SAT:
                 colorings[self.unit - 1] = self.verified_coloring()
-            elif code == _CORRUPT:
-                raise CorruptUnit(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
-        return out[:], colorings
+                continue
+            if code == _CORRUPT:
+                raise error_cls(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
+            if count >= stop_at:
+                return out[:], colorings
+            if count >= next_poll:
+                if interrupted is not None and interrupted():
+                    return out[:], colorings
+                next_poll = count + _INTERRUPT_POLL
+            if count >= next_progress:
+                on_progress(count, self.tables.frontier_cells(self.pos))
+                next_progress += progress_every
+            if count >= next_checkpoint:
+                on_checkpoint(Checkpoint(self.grid, tuple(self.branch), count))
+                next_checkpoint += checkpoint_every
 
     def verified_coloring(self) -> list[list[int]]:
         coloring = self.coloring_rows()
@@ -555,53 +497,51 @@ class _Engine:
             raise RuntimeError(f"internal error: SAT coloring fails verify: {violation}")
         return coloring
 
-    def _slice_c(self, floor: int, limit: int) -> str | None:
-        st = self._state
-        st[:6] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos)
-        code = self._kernel.packlat_slice(
-            self.n_free, self.k, *self._csr, self._forb, self._cbranch,
-            self._jtop, self._journal, st, floor, min(limit, _NEVER),
-        )
-        self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos = st[:6]
-        self.branch[:] = self._cbranch[:self.pos]
-        return _SLICE_STATUS[code]
-
-    def _batch_c(self, flat, d: int, m: int, out, budget: int) -> int:
+    def _batch_c(self, flat, d: int, floor: int, m: int, out, budget: int) -> int:
         st = self._state
         st[:] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
                  self.unit, self.live)
         code = self._kernel.packlat_batch(
             self.n_free, self.k, *self._csr, self._forb, self._cbranch,
-            self._jtop, self._journal, st, d, m, flat, out, budget,
+            self._jtop, self._journal, st, d, floor, m, flat, out, budget,
         )
         (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
          self.unit, self.live) = st
-        if code == _SAT:
-            self.branch[:] = self._cbranch[:self.pos]
+        self.branch[:] = self._cbranch[:self.pos]
         return code
 
-    def _batch_naive(self, prefixes, d: int, m: int, out: list, budget: int) -> int:
-        """``packlat_batch`` on the naive route, as ``_slice_naive`` is its
-        slice, except that a corrupt decision raises ``CorruptUnit`` here."""
+    def _batch_naive(self, prefixes, d: int, floor: int, m: int, out: list,
+                     budget: int) -> int:
+        """``packlat_batch`` on the naive route, with ``_slice_naive`` as its slice."""
+        k, free, colors, branch = self.k, self.tables.free, self.cell_colors, self.branch
         while self.unit < m:
             if not self.live:
                 prefix = prefixes[self.unit]
                 shared = 0
-                while shared < min(self.pos, d) and self.branch[shared] == prefix[shared]:
+                while shared < min(self.pos, d) and branch[shared] == prefix[shared]:
                     shared += 1
                 while self.pos > shared:
-                    self._unplace_naive()
-                self.replay(prefix[shared:], CorruptUnit)
+                    self.pos -= 1
+                    colors[free[self.pos]] = 0
+                    branch.pop()
+                scan = self.tables.naive_scan(d)
+                for color in prefix[shared:]:
+                    if not 1 <= color <= k or any(
+                            colors[q] == color for q in scan[self.pos][color - 1]):
+                        return _CORRUPT
+                    colors[free[self.pos]] = color
+                    branch.append(color)
+                    self.pos += 1
                 self.start, self.nodes, self.tests, self.max_pos = 1, 0, 0, d
                 self.calls = int(d < self.n_free)
                 self.live = True
             before = self.nodes
-            status = self._slice_naive(d, before + budget)
+            status = self._slice_naive(floor, before + budget)
             if status is None:
                 return _LIMIT
             budget -= self.nodes - before
             j = _OUT * self.unit
-            out[j:j + _OUT] = (_SLICE_STATUS.index(status), self.nodes, self.tests,
+            out[j:j + _OUT] = (_STATUS.index(status), self.nodes, self.tests,
                                self.calls, self.max_pos)
             self.unit += 1
             self.live = False
@@ -692,28 +632,24 @@ def _bad_decision(pos: int, color: int, k: int) -> str:
     return f"decision {pos} (color {color}) is inadmissible"
 
 
-def _search(grid: GridSpec, naive: bool, decisions=(), error_cls=None, nodes: int = 0,
-            **events) -> SolveResult:
-    """Replay ``decisions`` on a fresh engine, then run it from ``nodes`` on."""
+def _search(grid: GridSpec, naive: bool, prefix=(), floor: int | None = None,
+            error_cls=CorruptUnit, nodes: int = 0, **events) -> SolveResult:
+    """Search below ``prefix`` on a fresh engine, counting on from ``nodes``."""
     t0 = time.perf_counter()
     engine = _Engine(grid, naive=naive)
-    engine.replay(decisions, error_cls)
-    engine.nodes = nodes
-    status = engine.run(**events)
+    out, colorings = engine.run([prefix], floor, error_cls, nodes, **events)
+    status, nodes = _STATUS[out[0]], nodes + engine.nodes
     stats = SearchStats(
-        nodes=engine.nodes,
+        nodes=nodes,
         tests=engine.tests,
         calls=engine.calls,
         max_depth=engine.tables.frontier_cells(engine.max_pos),
         elapsed=time.perf_counter() - t0,
     )
-    coloring = None
     checkpoint = None
-    if status == SAT:
-        coloring = engine.verified_coloring()
-    elif status == INTERRUPTED:
-        checkpoint = Checkpoint(engine.grid, tuple(engine.branch), engine.nodes)
-    return SolveResult(status=status, coloring=coloring, stats=stats,
+    if status == INTERRUPTED:
+        checkpoint = Checkpoint(grid, tuple(engine.branch), nodes)
+    return SolveResult(status=status, coloring=colorings.get(0), stats=stats,
                        checkpoint=checkpoint, engine=engine.route)
 
 
@@ -766,7 +702,7 @@ def resume(
     Only the node counter carries across a suspension; tests, calls,
     max_depth and elapsed restart from the resume point.
     """
-    return _search(checkpoint.grid, naive, checkpoint.branch, CorruptCheckpoint,
+    return _search(checkpoint.grid, naive, checkpoint.branch, 0, CorruptCheckpoint,
                    checkpoint.nodes, suspend_at=suspend_at,
                    checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
                    progress_every=progress_every, on_progress=on_progress,
@@ -775,14 +711,7 @@ def resume(
 
 def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
     """Search one work unit's subtree; nodes count only below the prefix."""
-    t0 = time.perf_counter()
-    engine = _Engine(unit.grid, naive=naive)
-    (outcome,) = _unit_outcomes(unit.grid, [unit.prefix], *engine.run_units([unit.prefix]),
-                                engine.route)
-    stats = SearchStats(nodes=outcome.nodes, tests=outcome.tests, calls=outcome.calls,
-                        max_depth=outcome.max_depth, elapsed=time.perf_counter() - t0)
-    return SolveResult(status=outcome.status, coloring=outcome.coloring, stats=stats,
-                       engine=outcome.engine)
+    return _search(unit.grid, naive, unit.prefix)
 
 
 def check_split_depth(grid: GridSpec, depth: object) -> int:
@@ -809,7 +738,7 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     units: list[WorkUnit] = []
     cum: list[int] = []
     emitted, last = 0, ()
-    while engine.run() == SAT:
+    while engine._slice_naive(0, _NEVER) == SAT:
         prefix = tuple(engine.branch)
         # in DFS order a unit adds the assignments below its longest common
         # prefix with the unit before it to those on some emitted prefix
@@ -820,7 +749,9 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
         units.append(WorkUnit(grid, prefix))
         cum.append(engine.nodes)
         last = prefix
-        engine.start = engine._unplace_naive() + 1  # go on with the next color
+        engine.pos -= 1  # go on with the next color
+        engine.cell_colors[engine.tables.free[engine.pos]] = 0
+        engine.start = engine.branch.pop() + 1
     return SplitResult(
         units=tuple(units),
         emitted_prefix_assignments=emitted,
@@ -882,10 +813,10 @@ def merge_outcomes(
 
 def _unit_outcomes(grid: GridSpec, prefixes, out: list[int], colorings: dict,
                    engine: str) -> list[UnitOutcome]:
-    """The outcomes of a batch from what ``_Engine.run_units`` returned."""
+    """The outcomes of a batch from what ``_Engine.run`` returned."""
     frontier = _tables(grid).frontier_cells
     return [
-        UnitOutcome(prefix, _SLICE_STATUS[out[j]], out[j + 1], colorings.get(i),
+        UnitOutcome(prefix, _STATUS[out[j]], out[j + 1], colorings.get(i),
                     out[j + 2], out[j + 3], frontier(out[j + 4]), engine)
         for i, (prefix, j) in enumerate(zip(prefixes, range(0, len(out), _OUT)))
     ]
@@ -896,7 +827,25 @@ def _unit_worker(task: tuple[GridSpec, list[tuple[int, ...]]]) -> tuple:
     small, and not the prefixes, which the parent holds."""
     grid, prefixes = task
     engine = _Engine(grid)
-    return (*engine.run_units(prefixes), engine.route)
+    return (*engine.run(prefixes), engine.route)
+
+
+def _watched(results, workers):
+    """The results of a pool's ``imap``, or ``ChildProcessError`` once one of
+    ``workers`` has died: the pool starts another worker in its place, but
+    neither re-runs nor fails the task the dead one held."""
+    import multiprocessing
+
+    while True:
+        try:
+            yield results.next(timeout=0.5)
+        except StopIteration:
+            return
+        except multiprocessing.TimeoutError:
+            for proc in workers:
+                if proc.exitcode is not None:
+                    raise ChildProcessError(f"worker {proc.pid} died (exit code "
+                                            f"{proc.exitcode}); its units were lost") from None
 
 
 def solve_parallel(
@@ -931,14 +880,16 @@ def solve_parallel(
     outcomes: list[UnitOutcome] = []
     nodes, next_progress = 0, progress_every or _NEVER
     with contextlib.ExitStack() as stack:
-        run_tasks = map
+        results = map(_unit_worker, tasks)
         if workers > 1:
             _load_kernel()  # build or load once here, not in every worker
+            others = set(multiprocessing.active_children())
             # a Ctrl-C stops this process alone; leaving the pool terminates the workers
-            pool = multiprocessing.get_context().Pool(
-                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-            run_tasks = stack.enter_context(pool).imap
-        for (_, prefixes), result in zip(tasks, run_tasks(_unit_worker, tasks)):
+            pool = stack.enter_context(multiprocessing.get_context().Pool(
+                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
+            started = [p for p in multiprocessing.active_children() if p not in others]
+            results = _watched(pool.imap(_unit_worker, tasks), started)
+        for (_, prefixes), result in zip(tasks, results):
             batch = _unit_outcomes(grid, prefixes, *result)
             outcomes += batch
             nodes += sum(o.nodes for o in batch)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -837,4 +838,55 @@ def test_ctrl_c_in_solve_unit_and_par_exits_one(ctrl_c_runs, command):
     code, out, err, seconds = ctrl_c_runs[command]
     assert (code, out) == (1, ""), err
     assert err == "packlat: interrupted; no checkpoint was written\n"
+    assert seconds < 10
+
+
+def _children_of(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, from /proc/*/stat."""
+    from pathlib import Path
+
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # the process ended meanwhile
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="finds the workers in /proc")
+def test_a_killed_pool_worker_ends_par_with_exit_one():
+    # the pool replaces a dead worker but never re-runs its task, so without
+    # a watch on the workers the headline run would wait for it forever
+    import contextlib
+    import os
+    import signal
+    import subprocess
+    import time
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "packlat.cli", "solve", "--width", "15", "--height", "9",
+         "--k", "11", "--anchor", "5,5,9", "--mode", "par", "--split-depth", "2",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers := _children_of(proc.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert workers, "no pool worker started within 30 s"
+        time.sleep(0.5)
+        os.kill(workers[0], signal.SIGKILL)
+        t0 = time.monotonic()
+        out, err = proc.communicate(timeout=10)
+        seconds = time.monotonic() - t0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, out) == (1, ""), err
+    assert err == f"packlat: error: worker {workers[0]} died (exit code -9); its units were lost\n"
     assert seconds < 10

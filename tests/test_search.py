@@ -488,21 +488,22 @@ def test_kernel_is_built_once_into_the_cache(kernel_cache):
 
 
 @needs_cc
-def test_building_the_kernel_prunes_libraries_of_other_sources(kernel_cache):
-    stale = kernel_cache / "kernel-deadbeef-00000000.so"
-    stale.write_bytes(b"built from an older _kernel.c")
-    other = kernel_cache / "notes.txt"
-    other.write_text("not a kernel")
+def test_building_the_kernel_keeps_libraries_of_other_sources(kernel_cache):
+    # another checkout, with another _kernel.c, may share the cache: pruning
+    # its library would make the two rebuild on alternate runs
+    other = kernel_cache / "kernel-deadbeef-00000000.so"
+    other.write_bytes(b"built from another _kernel.c")
     assert solve(GridSpec(3, 3, 3)).engine == "c"
-    (lib,) = kernel_cache.glob("kernel-*.so")
-    assert lib.name.startswith(f"kernel-{search._kernel_key()}-")
-    assert other.exists()
+    assert other.read_bytes() == b"built from another _kernel.c"
+    (lib,) = kernel_cache.glob(f"kernel-{search._kernel_key()}-*.so")
+    assert search._intact(lib, search._kernel_key())
 
 
 @needs_cc
 def test_a_library_pruned_before_it_is_loaded_is_built_again(kernel_cache, monkeypatch):
-    # a build from another kernel source may delete the library this process
-    # just found; it is rebuilt rather than the run dropping to the naive route
+    # an older packlat building another kernel source may delete the library
+    # this process just found; it is rebuilt rather than the run dropping to
+    # the naive route
     search._build_kernel(kernel_cache, search._kernel_key())
     intact, pruned = search._intact, []
 
@@ -574,7 +575,8 @@ def test_kernel_backtracks_past_the_top_bit_of_its_word():
     engine = search._Engine(GridSpec(1, 2, search._KERNEL_COLORS))
     assert engine.route == "c"
     engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
-    assert engine.run(suspend_at=10) == UNSAT  # a wrapped shift loops
+    out, _ = engine.run([()], suspend_at=10)
+    assert search._STATUS[out[0]] == UNSAT  # a wrapped shift loops
     assert (engine.nodes, engine.tests, engine.calls, engine.max_pos) == (1, 64, 2, 1)
 
 
@@ -586,10 +588,10 @@ BATCH_TREES = [(GridSpec(4, 4, 5), 3), (GridSpec(2, 2, 3), 4), (GridSpec(5, 4, 5
 
 
 def fresh_unit(grid, prefix):
-    """A unit on its own naive engine: replay the prefix, then run to the floor."""
+    """A unit on its own naive engine, as a batch of one."""
     engine = search._Engine(grid, naive=True)
-    engine.replay(prefix, CorruptUnit)
-    status = engine.run(floor=len(prefix))
+    out, _ = engine.run([prefix])
+    status = search._STATUS[out[0]]
     coloring = engine.coloring_rows() if status == SAT else None
     return (prefix, status, engine.nodes, coloring, engine.tests, engine.calls,
             engine.tables.frontier_cells(engine.max_pos))
@@ -598,7 +600,7 @@ def fresh_unit(grid, prefix):
 def batch(route, grid, prefixes):
     engine = search._Engine(grid, naive=route == "naive")
     assert engine.route == route
-    outcomes = search._unit_outcomes(grid, prefixes, *engine.run_units(prefixes), route)
+    outcomes = search._unit_outcomes(grid, prefixes, *engine.run(prefixes), route)
     return [(o.prefix, o.status, o.nodes, o.coloring, o.tests, o.calls, o.max_depth)
             for o in outcomes]
 
@@ -642,6 +644,6 @@ def test_a_corrupt_prefix_late_in_a_batch_is_rejected(route):
                          ((2, 1, 2), "decision 2 (color 2) is inadmissible")]:
         engine = search._Engine(grid, naive=route == "naive")
         with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
-            engine.run_units(prefixes[:7] + [bad] + prefixes[7:])
+            engine.run(prefixes[:7] + [bad] + prefixes[7:])
         with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
             solve_unit(WorkUnit(grid, bad), naive=route == "naive")
