@@ -437,7 +437,8 @@ def cmd_merge(args) -> int:
     The split is computed again from the manifest's grid and depth. Each
     report is checked as it is read, so an error names its file; the split
     is searched once a report shares the manifest's grid, so a forged grid
-    fails at once. ``merge_outcomes`` checks that the reports cover the split.
+    fails at once, or after the loop if there is no report. ``merge_outcomes``
+    checks that the reports cover the split.
     """
     from packlat.search import (SAT, UNSAT, UnitOutcome, WorkUnit, check_split_depth,
                                 merge_outcomes, split)
@@ -474,6 +475,8 @@ def cmd_merge(args) -> int:
             if status == SAT and (violation := verify(grid, witness)) is not None:
                 raise MalformedInput(f"SAT witness breaks the rule for color {violation.color}")
         outcomes[unit.prefix] = UnitOutcome(unit.prefix, status, nodes, witness)
+    if split_result is None:  # no report: right only for a split with no units
+        split_result = split(grid, depth)
     status, coloring, sequential, unit_total = merge_outcomes(
         split_result, list(outcomes.values())
     )
@@ -539,7 +542,7 @@ def _build_parser() -> _Parser:
                                        "small window, by brute force")
     p_chi.add_argument("--width", type=int, required=True)
     p_chi.add_argument("--height", type=int, required=True)
-    p_chi.add_argument("--cap", type=int, default=6,
+    p_chi.add_argument("--cap", type=_at_least(1), default=6,
                        help="largest budget to try (default 6)")
     p_chi.set_defaults(func=cmd_chi)
 
@@ -564,7 +567,7 @@ def _build_parser() -> _Parser:
     p_merge = sub.add_parser("merge", help="combine unit reports, checking "
                                            "the count additivity identity")
     p_merge.add_argument("manifest", help="split.json written by the split command")
-    p_merge.add_argument("reports", nargs="+", help="solve-unit report files")
+    p_merge.add_argument("reports", nargs="*", help="solve-unit report files")
     p_merge.add_argument("--expect-sequential-nodes", type=int, default=None,
                          help="fail loudly unless the reconstructed count matches")
     p_merge.set_defaults(func=cmd_merge)

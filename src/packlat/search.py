@@ -148,30 +148,12 @@ class SplitResult(NamedTuple):
     assignments_at_emission: tuple[int, ...]
 
 
-class ParallelInfo(SimpleNamespace):
-    """How a parallel run was carried out.
-
-    Every unit runs to completion, so the merged ``nodes`` always
-    reproduce the sequential run; the two constant flags say so in
-    reports. ``tests`` and ``calls`` are unit sums, without the split's
-    own work. The fields are the instance's ``vars``, which reports print.
-    """
-
-    def __init__(self, depth: int, units: int, unit_nodes_total: int,
-                 emitted_prefix_assignments: int, prefix_overhead: int, workers: int,
-                 count_reproducible: bool = True, early_exit: bool = False):
-        super().__init__(depth=depth, units=units, unit_nodes_total=unit_nodes_total,
-                         emitted_prefix_assignments=emitted_prefix_assignments,
-                         prefix_overhead=prefix_overhead, workers=workers,
-                         count_reproducible=count_reproducible, early_exit=early_exit)
-
-
 class SolveResult(NamedTuple):
     status: str
     coloring: list[list[int]] | None
     stats: SearchStats
     checkpoint: Checkpoint | None = None
-    parallel: ParallelInfo | None = None
+    parallel: SimpleNamespace | None = None  # solve_parallel's record of the run
     engine: str | None = None  # the route that ran: "c" or "naive"
 
 
@@ -413,36 +395,29 @@ class _Engine:
             self._state = (ctypes.c_int64 * 8)()  # as _batch_c packs it
             self._batch = self._batch_c
 
-    def coloring_rows(self) -> list[list[int]]:
-        colors = list(self.tables.anchor_at)
-        for p, c in enumerate(self.branch):
-            colors[self.tables.free[p]] = c
-        w = self.grid.width
-        return [colors[r * w:(r + 1) * w] for r in range(self.grid.height)]
-
-    def run(
-        self,
-        prefixes,
-        floor: int | None = None,
-        error_cls=CorruptUnit,
-        nodes: int = 0,
-        suspend_at: int | None = None,
-        checkpoint_every: int | None = None,
-        on_checkpoint=None,
-        progress_every: int | None = None,
-        on_progress=None,
-        interrupted=None,
-    ) -> tuple[list[int], dict[int, list[list[int]]]]:
+    def run(self, prefixes, floor: int | None = None, error_cls=CorruptUnit, nodes: int = 0,
+            suspend_at: int | None = None, checkpoint_every: int | None = None,
+            on_checkpoint=None, progress_every: int | None = None, on_progress=None,
+            interrupted=None) -> tuple[list[int], dict[int, list[list[int]]]]:
         """Search below each prefix in turn, down to ``floor`` (default: the
         prefix length). The prefixes have one length and come in DFS order.
 
-        Returns plain data: ``_OUT`` numbers per unit and the colorings of
-        the SAT units by index. A decision out of range or inadmissible
-        raises ``error_cls``. The events read ``nodes + self.nodes``, the
-        count of the unit in flight; a suspension (``suspend_at`` or a true
-        ``interrupted()``) leaves that unit live, its status code 0. A
-        batch of several units only returns to Python every
-        ``_INTERRUPT_POLL`` nodes, so that a Ctrl-C lands.
+        Returns plain data, which ``_unit_outcomes`` decodes: ``_OUT``
+        numbers per unit and the colorings of the SAT units by index. A
+        decision out of range or inadmissible raises ``error_cls``. The
+        events read ``nodes + self.nodes``, the count of the unit in flight:
+
+        * ``suspend_at``: return once the count reaches this many nodes.
+        * ``checkpoint_every`` / ``on_checkpoint``: call ``on_checkpoint``
+          with a rolling Checkpoint at every multiple of N, and go on.
+        * ``progress_every`` / ``on_progress``: call ``on_progress(count,
+          frontier_cells)`` at every multiple of N.
+        * ``interrupted``: a callable polled every ``_INTERRUPT_POLL``
+          nodes; a true result returns as ``suspend_at`` does.
+
+        A suspension leaves the unit in flight live, with status code 0 and
+        its counters so far. A batch of several units only returns to
+        Python every ``_INTERRUPT_POLL`` nodes, so that a Ctrl-C lands.
         """
         d = len(prefixes[0]) if prefixes else 0
         if d > self.n_free:
@@ -457,13 +432,9 @@ class _Engine:
         floor = d if floor is None else floor
         stop_at = _NEVER if suspend_at is None else suspend_at
         next_poll = nodes + _INTERRUPT_POLL  # a Ctrl-C lands between calls
-        next_progress = (
-            (nodes // progress_every + 1) * progress_every if progress_every else _NEVER
-        )
-        next_checkpoint = (
-            (nodes // checkpoint_every + 1) * checkpoint_every
-            if checkpoint_every else _NEVER
-        )
+        next_progress, next_checkpoint = (
+            (nodes // every + 1) * every if every else _NEVER
+            for every in (progress_every, checkpoint_every))
         colorings, count = {}, nodes + self.nodes
         while True:
             budget = _INTERRUPT_POLL if m > 1 else (
@@ -477,11 +448,12 @@ class _Engine:
                 continue
             if code == _CORRUPT:
                 raise error_cls(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
-            if count >= stop_at:
+            if count >= stop_at or (
+                    count >= next_poll and interrupted is not None and interrupted()):
+                j = _OUT * self.unit + 1
+                out[j:j + _OUT - 1] = self.nodes, self.tests, self.calls, self.max_pos
                 return out[:], colorings
             if count >= next_poll:
-                if interrupted is not None and interrupted():
-                    return out[:], colorings
                 next_poll = count + _INTERRUPT_POLL
             if count >= next_progress:
                 on_progress(count, self.tables.frontier_cells(self.pos))
@@ -491,7 +463,11 @@ class _Engine:
                 next_checkpoint += checkpoint_every
 
     def verified_coloring(self) -> list[list[int]]:
-        coloring = self.coloring_rows()
+        colors = list(self.tables.anchor_at)
+        for p, c in enumerate(self.branch):
+            colors[self.tables.free[p]] = c
+        w = self.grid.width
+        coloring = [colors[r * w:(r + 1) * w] for r in range(self.grid.height)]
         violation = verify(self.grid, coloring)
         if violation is not None:
             raise RuntimeError(f"internal error: SAT coloring fails verify: {violation}")
@@ -633,36 +609,22 @@ def _bad_decision(pos: int, color: int, k: int) -> str:
 
 
 def _search(grid: GridSpec, naive: bool, prefix=(), floor: int | None = None,
-            error_cls=CorruptUnit, nodes: int = 0, **events) -> SolveResult:
-    """Search below ``prefix`` on a fresh engine, counting on from ``nodes``."""
+            error_cls=CorruptUnit, nodes: int = 0, /, **events) -> SolveResult:
+    """Search below ``prefix`` on a fresh engine, counting on from ``nodes``;
+    only ``_Engine.run``'s events can come by keyword."""
     t0 = time.perf_counter()
     engine = _Engine(grid, naive=naive)
     out, colorings = engine.run([prefix], floor, error_cls, nodes, **events)
-    status, nodes = _STATUS[out[0]], nodes + engine.nodes
-    stats = SearchStats(
-        nodes=nodes,
-        tests=engine.tests,
-        calls=engine.calls,
-        max_depth=engine.tables.frontier_cells(engine.max_pos),
-        elapsed=time.perf_counter() - t0,
-    )
+    (unit,) = _unit_outcomes(grid, [prefix], out, colorings, engine.route)
+    stats = SearchStats(nodes + unit.nodes, unit.tests, unit.calls, unit.max_depth,
+                        time.perf_counter() - t0)
     checkpoint = None
-    if status == INTERRUPTED:
-        checkpoint = Checkpoint(grid, tuple(engine.branch), nodes)
-    return SolveResult(status=status, coloring=colorings.get(0), stats=stats,
-                       checkpoint=checkpoint, engine=engine.route)
+    if unit.status == INTERRUPTED:
+        checkpoint = Checkpoint(grid, tuple(engine.branch), stats.nodes)
+    return SolveResult(unit.status, unit.coloring, stats, checkpoint, engine=unit.engine)
 
 
-def solve(
-    grid: GridSpec,
-    naive: bool = False,
-    suspend_at: int | None = None,
-    checkpoint_every: int | None = None,
-    on_checkpoint=None,
-    progress_every: int | None = None,
-    on_progress=None,
-    interrupted=None,
-) -> SolveResult:
+def solve(grid: GridSpec, naive: bool = False, **events) -> SolveResult:
     """Search the whole window for a packing coloring extending the anchors.
 
     Sequential and bit-deterministic. SAT comes with a verified coloring;
@@ -674,39 +636,25 @@ def solve(
         grid: window, color budget, anchors.
         naive: use the ball-rescan admissibility test instead of the
             compiled kernel (slow; for differential runs).
-        suspend_at: stop once this many nodes have been counted.
-        checkpoint_every / on_checkpoint: invoke the callback with a
-            rolling Checkpoint every N nodes, without stopping.
-        progress_every / on_progress: invoke ``on_progress(nodes,
-            frontier_cells)`` every N nodes.
-        interrupted: zero-argument callable polled every 65536 nodes; a
-            true result suspends the search with a checkpoint.
+        events: the run options of ``_Engine.run``, all optional:
+            suspend_at: stop once this many nodes have been counted.
+            checkpoint_every / on_checkpoint: a rolling Checkpoint every N nodes.
+            progress_every / on_progress: ``on_progress(nodes, frontier_cells)``
+                every N nodes.
+            interrupted: a callable polled every 65536 nodes; true suspends.
     """
-    return _search(grid, naive, suspend_at=suspend_at, checkpoint_every=checkpoint_every,
-                   on_checkpoint=on_checkpoint, progress_every=progress_every,
-                   on_progress=on_progress, interrupted=interrupted)
+    return _search(grid, naive, **events)
 
 
-def resume(
-    checkpoint: Checkpoint,
-    naive: bool = False,
-    suspend_at: int | None = None,
-    checkpoint_every: int | None = None,
-    on_checkpoint=None,
-    progress_every: int | None = None,
-    on_progress=None,
-    interrupted=None,
-) -> SolveResult:
+def resume(checkpoint: Checkpoint, naive: bool = False, **events) -> SolveResult:
     """Continue a suspended run to the same final (status, nodes).
 
-    Only the node counter carries across a suspension; tests, calls,
-    max_depth and elapsed restart from the resume point.
+    Takes the run options of ``solve``. Only the node counter carries
+    across a suspension; tests, calls, max_depth and elapsed restart from
+    the resume point.
     """
     return _search(checkpoint.grid, naive, checkpoint.branch, 0, CorruptCheckpoint,
-                   checkpoint.nodes, suspend_at=suspend_at,
-                   checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
-                   progress_every=progress_every, on_progress=on_progress,
-                   interrupted=interrupted)
+                   checkpoint.nodes, **events)
 
 
 def solve_unit(unit: WorkUnit, naive: bool = False) -> SolveResult:
@@ -848,13 +796,8 @@ def _watched(results, workers):
                                             f"{proc.exitcode}); its units were lost") from None
 
 
-def solve_parallel(
-    grid: GridSpec,
-    depth: int,
-    workers: int | None = None,
-    progress_every: int | None = None,
-    on_progress=None,
-) -> SolveResult:
+def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None,
+                   progress_every: int | None = None, on_progress=None) -> SolveResult:
     """Split the search and run every unit to completion across worker processes.
 
     The merged node count reproduces the sequential one exactly,
@@ -863,6 +806,12 @@ def solve_parallel(
     batch. ``on_progress(units_done, units_total, unit_nodes)`` is invoked
     as tasks finish, each time the unit nodes pass a multiple of
     ``progress_every``.
+
+    Every unit runs to completion, so the merged ``nodes`` always
+    reproduce the sequential run; ``parallel``'s two constant flags say so
+    in reports, which print its ``vars``. ``tests``, ``calls`` and
+    ``max_depth`` come from the units alone, without the split's own
+    work; with no unit they are 0.
     """
     import multiprocessing
     import signal
@@ -905,14 +854,11 @@ def solve_parallel(
         max_depth=max((o.max_depth for o in outcomes), default=0),
         elapsed=time.perf_counter() - t0,
     )
-    info = ParallelInfo(
-        depth=depth,
-        units=len(split_result.units),
-        unit_nodes_total=unit_total,
+    info = SimpleNamespace(
+        depth=depth, units=len(units), unit_nodes_total=unit_total,
         emitted_prefix_assignments=split_result.emitted_prefix_assignments,
-        prefix_overhead=split_result.prefix_overhead,
-        workers=workers,
-    )
+        prefix_overhead=split_result.prefix_overhead, workers=workers,
+        count_reproducible=True, early_exit=False)
     engine = "+".join(sorted({o.engine for o in outcomes})) or None
     return SolveResult(status=status, coloring=coloring, stats=stats,
                        parallel=info, engine=engine)

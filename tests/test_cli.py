@@ -213,6 +213,13 @@ def test_chi_cap_exceeded(capsys):
     assert out.strip() == ">3"
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_chi_cap_below_one_is_a_usage_error(capsys, cap):
+    code, out, err = run(capsys, "chi", "--width", "3", "--height", "3", "--cap", cap)
+    assert (code, out) == (1, "")
+    assert err.startswith("packlat: usage error: argument --cap:")
+
+
 # --- split / solve-unit / merge ----------------------------------------------
 
 
@@ -268,6 +275,31 @@ def test_merge_mismatch_fails_loudly(capsys, tmp_path):
     )
     assert code == 1
     assert "count additivity FAILED" in err
+
+
+@pytest.mark.parametrize("grid_args,depth,seq_nodes", [
+    (["--width", "3", "--height", "1", "--k", "1"], 2, 1),
+    (["--width", "2", "--height", "2", "--k", "2"], 4, 5),
+])
+def test_a_split_with_no_units_merges_with_no_reports(capsys, tmp_path, grid_args, depth,
+                                                      seq_nodes):
+    _, seq_out, _ = run(capsys, "solve", *grid_args)
+    assert report_of(seq_out)["stats"]["nodes"] == seq_nodes
+    code, out, _ = _split_solve_merge(capsys, tmp_path, grid_args, depth, expect_nodes=seq_nodes)
+    assert code == 10
+    merged = report_of(out)
+    assert (merged["status"], merged["merge"]["units"]) == ("UNSAT", 0)
+    assert merged["merge"]["matches_sequential_nodes"] == seq_nodes
+
+
+def test_merge_without_reports_fails_on_a_split_with_units(capsys, tmp_path):
+    out_dir = tmp_path / "units"
+    run(capsys, "split", "--width", "3", "--height", "3", "--k", "3", "--split-depth", "2",
+        "--out-dir", str(out_dir))
+    code, out, err = run(capsys, "merge", str(out_dir / "split.json"))
+    assert (code, out) == (1, "")
+    assert err == ("packlat: error: unit outcomes do not cover the split exactly: "
+                   "0 outcomes for 6 units\n")
 
 
 def test_merge_rejects_missing_units(capsys, tmp_path):

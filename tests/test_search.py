@@ -468,6 +468,20 @@ def test_tampered_checkpoint_is_rejected_on_every_route(route):
     assert on_route(route, resume, Checkpoint.from_dict(good)).status == UNSAT
 
 
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
+def test_solve_and_resume_take_only_the_run_options(route):
+    # the engine's own arguments (a starting count, a floor, an error class)
+    # are no run options: naming one is a TypeError, never a different count
+    grid = GridSpec(3, 3, 3)
+    for options in ({"bogus": 1}, {"nodes": 5}, {"floor": 1}, {"prefixes": [()]}):
+        with pytest.raises(TypeError):
+            on_route(route, solve, grid, **options)
+    checkpoint = on_route(route, solve, grid, suspend_at=10).checkpoint
+    with pytest.raises(TypeError):
+        on_route(route, resume, checkpoint, error_cls=ValueError)
+    assert on_route(route, resume, checkpoint).stats.nodes == solve(grid).stats.nodes
+
+
 @pytest.fixture
 def kernel_cache(tmp_path, monkeypatch):
     """An empty kernel cache, so no test touches the real one."""
@@ -592,7 +606,7 @@ def fresh_unit(grid, prefix):
     engine = search._Engine(grid, naive=True)
     out, _ = engine.run([prefix])
     status = search._STATUS[out[0]]
-    coloring = engine.coloring_rows() if status == SAT else None
+    coloring = engine.verified_coloring() if status == SAT else None
     return (prefix, status, engine.nodes, coloring, engine.tests, engine.calls,
             engine.tables.frontier_cells(engine.max_pos))
 
