@@ -328,6 +328,8 @@ def cmd_solve(args) -> int:
                 "checkpointing applies to sequential mode; parallel runs are "
                 "resumed per unit"
             )
+        if args.checkpoint_file:
+            raise _UsageError("--checkpoint-file applies to sequential mode only")
         depth = 2 if args.split_depth is None else args.split_depth
         t0 = time.perf_counter()
 
@@ -337,6 +339,8 @@ def cmd_solve(args) -> int:
         result = solve_parallel(grid, depth, workers=args.workers,
                                 progress_every=args.progress_every, on_progress=on_progress)
     else:
+        if args.split_depth is not None or args.workers is not None:
+            raise _UsageError("--split-depth and --workers apply to --mode par only")
         result = _run_sequential(args, solve, grid)
     return _finish_run(args, grid, args.mode, flags, result, t0_wall, {},
                        args.checkpoint_file or "packlat-interrupted.checkpoint.json")

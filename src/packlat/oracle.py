@@ -54,9 +54,10 @@ def bfs_distances(width: int, height: int) -> list[list[int]]:
 
 
 def _guard(grid: GridSpec) -> None:
-    if grid.max_color ** grid.n_cells > SIZE_GUARD:
+    # base 2 at budget 1 too: the distance table and the pair list grow with cells squared
+    if max(grid.max_color, 2) ** grid.n_cells > SIZE_GUARD:
         raise TooLarge(
-            f"{grid.max_color}^{grid.n_cells} assignments exceed the "
+            f"{grid.n_cells} cells at budget {grid.max_color} exceed the "
             f"{SIZE_GUARD:.0e} oracle guard"
         )
 

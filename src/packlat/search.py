@@ -31,7 +31,7 @@ import contextlib
 import os
 import time
 import zlib
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -345,8 +345,9 @@ def _load_kernel():
     return lib
 
 
-_NEVER = 1 << 62  # a node count no run reaches
+_NEVER = float("inf")  # a node count no run reaches
 _LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # the kernel's return codes
+_POS, _START, _NODES, _TESTS, _CALLS, _MAX_POS, _UNIT, _LIVE = range(8)  # its state slots
 _STATUS = (INTERRUPTED, SAT, UNSAT)  # a unit's status code; one left in flight reads 0
 _OUT = 5  # a batch's outputs per unit: status code, nodes, tests, calls, max_pos
 
@@ -358,42 +359,35 @@ class _Engine:
     differential runs, and wherever the kernel is unavailable or
     ``max_color`` exceeds its word). Every search is a batch of prefixes,
     each searched down to a floor, and both routes run batches with one
-    contract, that of ``packlat_batch`` in ``_kernel.c``. ``run`` handles
-    all events between batch calls.
+    contract, that of ``packlat_batch`` in ``_kernel.c``, on its arrays:
+    ``st``, the state slots above, and ``branch``, the color of each free
+    cell decided so far. ``run`` handles all events between batch calls.
     """
 
     def __init__(self, grid: GridSpec, naive: bool = False):
         self.grid = grid
         self.tables = _tables(grid)
         self.k = grid.max_color
-        self.n_free = len(self.tables.free)
-        self.branch: list[int] = []
-        self.pos = 0
-        self.start = 1
-        self.nodes = 0
-        self.tests = 0
-        self.calls = 0
-        self.max_pos = 0
-        self.unit = 0  # the batch's next unit, or its unit in flight if live
-        self.live = False
+        self.n_free = n = len(self.tables.free)
         kernel = None if naive or self.k > _KERNEL_COLORS else _load_kernel()
         if kernel is None:
             self.route = "naive"
+            self.st = [0, 1, 0, 0, 0, 0, 0, 0]
+            self.branch = [0] * n
             self.cell_colors = list(self.tables.anchor_at)
             self._batch = self._batch_naive
         else:
             import ctypes
 
-            n = self.n_free
             self.route = "c"
-            self._kernel = kernel
-            self._csr = self.tables.csr
+            self.st = (ctypes.c_int64 * 8)(0, 1)
+            self.branch = (ctypes.c_int32 * n)()
+            csr = self.tables.csr
             self._forb = (ctypes.c_uint32 * n)(*self.tables.init_rows)
-            self._cbranch = (ctypes.c_int32 * n)()
             self._jtop = (ctypes.c_int32 * (n + 1))()
-            self._journal = (ctypes.c_int32 * len(self._csr[2]))()
-            self._state = (ctypes.c_int64 * 8)()  # as _batch_c packs it
-            self._batch = self._batch_c
+            journal = (ctypes.c_int32 * len(csr[2]))()
+            self._batch = partial(kernel.packlat_batch, n, self.k, *csr, self._forb, self.branch,
+                                  self._jtop, journal, self.st)
 
     def run(self, prefixes, floor: int | None = None, error_cls=CorruptUnit, nodes: int = 0,
             suspend_at: int | None = None, checkpoint_every: int | None = None,
@@ -405,7 +399,7 @@ class _Engine:
         Returns plain data, which ``_unit_outcomes`` decodes: ``_OUT``
         numbers per unit and the colorings of the SAT units by index. A
         decision out of range or inadmissible raises ``error_cls``. The
-        events read ``nodes + self.nodes``, the count of the unit in flight:
+        events read ``nodes + st[_NODES]``, the count of the unit in flight:
 
         * ``suspend_at``: return once the count reaches this many nodes.
         * ``checkpoint_every`` / ``on_checkpoint``: call ``on_checkpoint``
@@ -422,7 +416,7 @@ class _Engine:
         d = len(prefixes[0]) if prefixes else 0
         if d > self.n_free:
             raise error_cls(f"{d} decisions exceed the {self.n_free} open cells")
-        m = len(prefixes)
+        m, st = len(prefixes), self.st
         units, out = prefixes, [0] * (_OUT * m)
         if self.route == "c":
             import ctypes
@@ -435,36 +429,40 @@ class _Engine:
         next_progress, next_checkpoint = (
             (nodes // every + 1) * every if every else _NEVER
             for every in (progress_every, checkpoint_every))
-        colorings, count = {}, nodes + self.nodes
+        colorings, count = {}, nodes + st[_NODES]
         while True:
             budget = _INTERRUPT_POLL if m > 1 else (
                 min(stop_at, next_poll, next_progress, next_checkpoint) - count)
-            code = self._batch(units, d, floor, m, out, budget)
-            count = nodes + self.nodes
+            code = self._batch(d, floor, m, units, out, budget)
+            count = nodes + st[_NODES]
             if code == _DONE:
                 return out[:], colorings
             if code == _SAT:
-                colorings[self.unit - 1] = self.verified_coloring()
+                colorings[st[_UNIT] - 1] = self.verified_coloring()
                 continue
             if code == _CORRUPT:
-                raise error_cls(_bad_decision(self.pos, prefixes[self.unit][self.pos], self.k))
+                raise error_cls(_bad_decision(st[_POS], prefixes[st[_UNIT]][st[_POS]], self.k))
             if count >= stop_at or (
                     count >= next_poll and interrupted is not None and interrupted()):
-                j = _OUT * self.unit + 1
-                out[j:j + _OUT - 1] = self.nodes, self.tests, self.calls, self.max_pos
+                j = _OUT * st[_UNIT] + 1
+                out[j:j + _OUT - 1] = st[_NODES:_MAX_POS + 1]
                 return out[:], colorings
             if count >= next_poll:
                 next_poll = count + _INTERRUPT_POLL
             if count >= next_progress:
-                on_progress(count, self.tables.frontier_cells(self.pos))
+                on_progress(count, self.tables.frontier_cells(st[_POS]))
                 next_progress += progress_every
             if count >= next_checkpoint:
-                on_checkpoint(Checkpoint(self.grid, tuple(self.branch), count))
+                on_checkpoint(Checkpoint(self.grid, self.decisions(), count))
                 next_checkpoint += checkpoint_every
+
+    def decisions(self) -> tuple[int, ...]:
+        """The colors of the free cells decided so far, in scan order."""
+        return tuple(self.branch[:self.st[_POS]])
 
     def verified_coloring(self) -> list[list[int]]:
         colors = list(self.tables.anchor_at)
-        for p, c in enumerate(self.branch):
+        for p, c in enumerate(self.decisions()):
             colors[self.tables.free[p]] = c
         w = self.grid.width
         coloring = [colors[r * w:(r + 1) * w] for r in range(self.grid.height)]
@@ -473,71 +471,50 @@ class _Engine:
             raise RuntimeError(f"internal error: SAT coloring fails verify: {violation}")
         return coloring
 
-    def _batch_c(self, flat, d: int, floor: int, m: int, out, budget: int) -> int:
-        st = self._state
-        st[:] = (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
-                 self.unit, self.live)
-        code = self._kernel.packlat_batch(
-            self.n_free, self.k, *self._csr, self._forb, self._cbranch,
-            self._jtop, self._journal, st, d, floor, m, flat, out, budget,
-        )
-        (self.pos, self.start, self.nodes, self.tests, self.calls, self.max_pos,
-         self.unit, self.live) = st
-        self.branch[:] = self._cbranch[:self.pos]
-        return code
-
-    def _batch_naive(self, prefixes, d: int, floor: int, m: int, out: list,
-                     budget: int) -> int:
+    def _batch_naive(self, d: int, floor: int, m: int, prefixes, out: list, budget: int) -> int:
         """``packlat_batch`` on the naive route, with ``_slice_naive`` as its slice."""
-        k, free, colors, branch = self.k, self.tables.free, self.cell_colors, self.branch
-        while self.unit < m:
-            if not self.live:
-                prefix = prefixes[self.unit]
-                shared = 0
-                while shared < min(self.pos, d) and branch[shared] == prefix[shared]:
+        free, colors, branch, st = self.tables.free, self.cell_colors, self.branch, self.st
+        while st[_UNIT] < m:
+            if not st[_LIVE]:
+                prefix, pos, shared = prefixes[st[_UNIT]], st[_POS], 0
+                while shared < min(pos, d) and branch[shared] == prefix[shared]:
                     shared += 1
-                while self.pos > shared:
-                    self.pos -= 1
-                    colors[free[self.pos]] = 0
-                    branch.pop()
+                while pos > shared:
+                    pos -= 1
+                    colors[free[pos]] = 0
                 scan = self.tables.naive_scan(d)
                 for color in prefix[shared:]:
-                    if not 1 <= color <= k or any(
-                            colors[q] == color for q in scan[self.pos][color - 1]):
+                    if not 1 <= color <= self.k or any(
+                            colors[q] == color for q in scan[pos][color - 1]):
+                        st[_POS] = pos
                         return _CORRUPT
-                    colors[free[self.pos]] = color
-                    branch.append(color)
-                    self.pos += 1
-                self.start, self.nodes, self.tests, self.max_pos = 1, 0, 0, d
-                self.calls = int(d < self.n_free)
-                self.live = True
-            before = self.nodes
-            status = self._slice_naive(floor, before + budget)
+                    colors[free[pos]] = branch[pos] = color
+                    pos += 1
+                # pos, start, nodes, tests, calls, max_pos, as the kernel places a unit
+                st[_POS:_UNIT] = d, 1, 0, 0, int(d < self.n_free), d
+                st[_LIVE] = 1
+            before = st[_NODES]
+            status = self._slice_naive(self.n_free, floor, before + budget)
             if status is None:
                 return _LIMIT
-            budget -= self.nodes - before
-            j = _OUT * self.unit
-            out[j:j + _OUT] = (_STATUS.index(status), self.nodes, self.tests,
-                               self.calls, self.max_pos)
-            self.unit += 1
-            self.live = False
+            budget -= st[_NODES] - before
+            j = _OUT * st[_UNIT]
+            out[j:j + _OUT] = _STATUS.index(status), *st[_NODES:_MAX_POS + 1]
+            st[_UNIT] += 1
+            st[_LIVE] = 0
             if status == SAT:
                 return _SAT
         return _DONE
 
-    def _slice_naive(self, floor: int, limit: int) -> str | None:
+    def _slice_naive(self, n: int, floor: int, limit: float) -> str | None:
+        """The kernel's slice on the naive route; coloring the first ``n``
+        free cells counts as SAT."""
         k = self.k
-        n = self.n_free
         scan = self.tables.naive_scan(n)
         free = self.tables.free
         colors = self.cell_colors
         branch = self.branch
-        pos = self.pos
-        start = self.start
-        nodes = self.nodes
-        tests = self.tests
-        calls = self.calls
-        max_pos = self.max_pos
+        pos, start, nodes, tests, calls, max_pos = self.st[_POS:_UNIT]
 
         status = None
         while True:
@@ -559,8 +536,7 @@ class _Engine:
                     break
                 c += 1
             if found:
-                colors[free[pos]] = found
-                branch.append(found)
+                colors[free[pos]] = branch[pos] = found
                 nodes += 1
                 pos += 1
                 start = 1
@@ -575,16 +551,10 @@ class _Engine:
                     status = UNSAT
                     break
                 pos -= 1
-                c = branch.pop()
                 colors[free[pos]] = 0
-                start = c + 1
+                start = branch[pos] + 1
 
-        self.pos = pos
-        self.start = start
-        self.nodes = nodes
-        self.tests = tests
-        self.calls = calls
-        self.max_pos = max_pos
+        self.st[_POS:_UNIT] = pos, start, nodes, tests, calls, max_pos
         return status
 
 
@@ -620,7 +590,7 @@ def _search(grid: GridSpec, naive: bool, prefix=(), floor: int | None = None,
                         time.perf_counter() - t0)
     checkpoint = None
     if unit.status == INTERRUPTED:
-        checkpoint = Checkpoint(grid, tuple(engine.branch), stats.nodes)
+        checkpoint = Checkpoint(grid, engine.decisions(), stats.nodes)
     return SolveResult(unit.status, unit.coloring, stats, checkpoint, engine=unit.engine)
 
 
@@ -682,12 +652,12 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     """
     check_split_depth(grid, depth)
     engine = _Engine(grid, naive=True)
-    engine.n_free = depth  # cut the tree: a complete prefix counts as SAT
+    st = engine.st
     units: list[WorkUnit] = []
     cum: list[int] = []
     emitted, last = 0, ()
-    while engine._slice_naive(0, _NEVER) == SAT:
-        prefix = tuple(engine.branch)
+    while engine._slice_naive(depth, 0, _NEVER) == SAT:  # a complete prefix counts as SAT
+        prefix = engine.decisions()
         # in DFS order a unit adds the assignments below its longest common
         # prefix with the unit before it to those on some emitted prefix
         shared = len(last)
@@ -695,15 +665,15 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
             shared -= 1
         emitted += depth - shared
         units.append(WorkUnit(grid, prefix))
-        cum.append(engine.nodes)
+        cum.append(st[_NODES])
         last = prefix
-        engine.pos -= 1  # go on with the next color
-        engine.cell_colors[engine.tables.free[engine.pos]] = 0
-        engine.start = engine.branch.pop() + 1
+        st[_POS] -= 1  # go on with the next color
+        engine.cell_colors[engine.tables.free[st[_POS]]] = 0
+        st[_START] = engine.branch[st[_POS]] + 1
     return SplitResult(
         units=tuple(units),
         emitted_prefix_assignments=emitted,
-        prefix_overhead=engine.nodes - emitted,
+        prefix_overhead=st[_NODES] - emitted,
         assignments_at_emission=tuple(cum),
     )
 

@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,6 @@ def _child_env() -> dict:
     package goes first, as an absolute path.
     """
     import os
-    from pathlib import Path
 
     import packlat
 
@@ -218,6 +218,12 @@ def test_chi_cap_below_one_is_a_usage_error(capsys, cap):
     code, out, err = run(capsys, "chi", "--width", "3", "--height", "3", "--cap", cap)
     assert (code, out) == (1, "")
     assert err.startswith("packlat: usage error: argument --cap:")
+
+
+def test_chi_guard_counts_at_least_two_colors_per_cell(capsys):
+    # at budget 1 the brute force still builds tables that grow with cells squared
+    assert run(capsys, "chi", "--width", "1500", "--height", "1", "--cap", "1") == (
+        1, "", "packlat: error: 1500 cells at budget 1 exceed the 1e+08 oracle guard\n")
 
 
 # --- split / solve-unit / merge ----------------------------------------------
@@ -519,6 +525,15 @@ BAD_RUN_OPTIONS = {  # options, message
     "workers-zero": (
         ["--mode", "par", "--workers", "0"],
         "usage error: argument --workers: '0' is not an integer >= 1"),
+    # options the chosen mode would ignore
+    "split-depth-without-par": (
+        ["--split-depth", "7"],
+        "usage error: --split-depth and --workers apply to --mode par only"),
+    "workers-without-par": (
+        ["--workers", "5"], "usage error: --split-depth and --workers apply to --mode par only"),
+    "checkpoint-file-with-par": (
+        ["--mode", "par", "--checkpoint-file", "x.json"],
+        "usage error: --checkpoint-file applies to sequential mode only"),
 }
 
 
@@ -557,6 +572,86 @@ def test_resume_rejects_version_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "resume", str(path))
     assert code == 1
     assert "version" in err
+
+
+# --- error paths -------------------------------------------------------------
+
+GRID_2x2 = {"anchors": [], "height": 2, "max_color": 3, "width": 2}
+SPLIT_2x2 = {"version": 1, "grid": GRID_2x2, "depth": 1, "units": 3}
+ERROR_PATHS = {  # argv, files in the working directory, message
+    "anchor-two-fields": (
+        ["solve", "--width", "3", "--height", "3", "--k", "3", "--anchor", "1,2"], {},
+        "error: anchor must be COL,ROW,COLOR, got '1,2'"),
+    "anchor-not-integers": (
+        ["solve", "--width", "3", "--height", "3", "--k", "3", "--anchor", "a,b,c"], {},
+        "error: bad anchor 'a,b,c': invalid literal for int() with base 10: 'a'"),
+    "grid-file-and-flags": (
+        ["solve", "grid.json", "--k", "3"], {"grid.json": GRID_2x2},
+        "error: give either a grid file or flags, not both"),
+    "par-naive-check": (
+        ["solve", "--width", "3", "--height", "3", "--k", "3", "--mode", "par", "--naive-check"],
+        {}, "usage error: --naive-check applies to sequential mode only"),
+    "par-checkpoint-every": (
+        ["solve", "--width", "3", "--height", "3", "--k", "3", "--mode", "par",
+         "--checkpoint-every", "5"], {},
+        "usage error: checkpointing applies to sequential mode; parallel runs are "
+        "resumed per unit"),
+    "verify-flags-disagree": (
+        ["verify", "c.json", "--width", "2", "--height", "2", "--k", "4"],
+        {"c.json": {"grid": GRID_2x2, "colors": [[1, 2], [3, 1]]}},
+        "error: coloring file's embedded grid disagrees with flags"),
+    "manifest-version-2": (
+        ["merge", "split.json"], {"split.json": {**SPLIT_2x2, "version": 2}},
+        "error: split.json: unsupported split manifest version 2"),
+    "coloring-text-line": (
+        ["verify", "c.txt", "--width", "2", "--height", "1", "--k", "3"], {"c.txt": "1 x\n"},
+        "error: c.txt: bad coloring line '1 x'"),
+    "coloring-json-without-colors": (
+        ["verify", "c.json"], {"c.json": {"grid": GRID_2x2}},
+        'error: c.json: coloring JSON must have "grid" and "colors"'),
+    "coloring-not-json": (
+        ["verify", "c.json"], {"c.json": "{not json\n"},
+        "error: c.json: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"),
+    "unit-without-prefix": (
+        ["solve-unit", "u.json"], {"u.json": {"grid": GRID_2x2}},
+        'error: u.json: work unit JSON must have "grid" and "prefix"'),
+    "checkpoint-a-list": (
+        ["resume", "cp.json"], {"cp.json": [1]},
+        "error: cp.json: checkpoint must be a JSON object"),
+    "checkpoint-negative-nodes": (
+        ["resume", "cp.json"],
+        {"cp.json": {"version": 1, "grid": GRID_2x2, "branch": [], "nodes": -1}},
+        "error: cp.json: negative node count -1"),
+    "merge-witness-not-integer": (
+        ["merge", "split.json", "r.json"],
+        {"split.json": SPLIT_2x2,
+         "r.json": {"grid": GRID_2x2, "unit": {"prefix": [1]}, "status": "SAT",
+                    "stats": {"nodes": 3}, "witness": [[1, 2], [3, 1.5]]}},
+        "error: r.json: non-integer color 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_PATHS))
+def test_error_paths_exit_one_with_their_message(capsys, tmp_path, monkeypatch, case):
+    argv, files, message = ERROR_PATHS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+    assert run(capsys, *argv) == (1, "", f"packlat: {message}\n")
+
+
+def test_two_anchors_argue_from_the_anchor_pattern(capsys):
+    code, out, _ = run(capsys, "solve", "--width", "2", "--height", "2", "--k", "2",
+                       "--anchor", "1,1,1", "--anchor", "2,2,1")
+    assert code == 10
+    assert report_of(out)["lower_bound"] == {
+        "claim": "packing chromatic number of the infinite square lattice >= 3",
+        "argument": "No packing 2-coloring of the 2x2 window realizes the anchor pattern, so "
+                    "no packing 2-coloring of the lattice contains a window matching it.",
+        "assumption": "every packing 2-coloring of the lattice realizes the anchor pattern in "
+                      "some window placement; this premise is assumed here, not proved",
+    }
 
 
 # --- render -----------------------------------------------------------------

@@ -58,8 +58,8 @@ def test_assign_then_undo_restores_mask_bit_identically():
     grid = GridSpec(3, 3, 3)
     engine = kernel_engine(grid)
     assert run(engine, (2,), floor=1) == UNSAT
-    assert engine.nodes > 0
-    assert engine.branch == [2]
+    assert engine.st[search._NODES] > 0
+    assert engine.decisions() == (2,)
     assert list(engine._forb[1:]) == rescanned_words(grid, engine)
 
 
@@ -74,16 +74,17 @@ def test_frontier_skips_anchor_cells():
 def kernel_states(grid):
     """The kernel engine after each node of the whole tree, past every SAT."""
     engine = kernel_engine(grid)
+    st = engine.st
     while True:
-        status = run(engine, suspend_at=engine.nodes + 1)
+        status = run(engine, suspend_at=st[search._NODES] + 1)
         if status == UNSAT:
             return
         if status == SAT:
             # the last cell forbids nothing further on, so undo it by hand
             # and put the unit back in flight
-            engine.pos -= 1
-            engine.start = engine.branch.pop() + 1
-            engine.unit, engine.live = 0, True
+            st[search._POS] -= 1
+            st[search._START] = engine.branch[st[search._POS]] + 1
+            st[search._UNIT], st[search._LIVE] = 0, 1
         else:
             yield engine
 
@@ -92,9 +93,9 @@ def rescanned_words(grid, engine):
     """Forbidden colors of each open cell, by rescanning every colored cell."""
     tables = engine.tables
     colored = [(grid.position_at(cell), c) for cell, c in enumerate(tables.anchor_at) if c]
-    colored += [(grid.position_at(tables.free[p]), c) for p, c in enumerate(engine.branch)]
+    colored += [(grid.position_at(tables.free[p]), c) for p, c in enumerate(engine.decisions())]
     words = []
-    for cell in tables.free[engine.pos:]:
+    for cell in tables.free[engine.st[search._POS]:]:
         pos = grid.position_at(cell)
         words.append(sum({1 << (c - 1) for q, c in colored if distance(pos, q) <= c}))
     return words
@@ -103,7 +104,8 @@ def rescanned_words(grid, engine):
 def assert_kernel_words_match_rescans(grid):
     states = 0
     for engine in kernel_states(grid):
-        assert list(engine._forb[engine.pos:]) == rescanned_words(grid, engine), engine.branch
+        pos = engine.st[search._POS]
+        assert list(engine._forb[pos:]) == rescanned_words(grid, engine), engine.decisions()
         states += 1
     return states
 

@@ -46,6 +46,10 @@ def test_anchors_are_respected():
 def test_size_guard():
     with pytest.raises(TooLarge):
         enumerate_feasible(GridSpec(5, 5, 4))  # 4^25 assignments
+    # budget 1 counts as 2: the tables grow with cells squared, so 2^27 > 1e8 is refused
+    assert not enumerate_feasible(GridSpec(26, 1, 1)).sat
+    with pytest.raises(TooLarge, match=r"^27 cells at budget 1 exceed the 1e\+08 oracle guard$"):
+        enumerate_feasible(GridSpec(27, 1, 1))
 
 
 def test_bfs_distances_agree_with_closed_form():

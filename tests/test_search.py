@@ -309,6 +309,16 @@ def test_interrupt_flag_suspends_with_resumable_state():
     )
 
 
+def test_a_checkpoint_past_two_to_the_62_nodes_resumes_to_the_end():
+    # the events that are off never fire, whatever the count
+    grid = GridSpec(9, 7, 6, anchors=((Position(5, 4), 4),))
+    seen = []
+    solve(grid, checkpoint_every=500_000, on_checkpoint=seen.append)
+    assert seen[-1].nodes == 1_000_000
+    finished = resume(seen[-1]._replace(nodes=2**62))
+    assert (finished.status, finished.stats.nodes) == (UNSAT, 2**62 + 378_337)
+
+
 def test_progress_callback_cadence():
     seen = []
     solve(
@@ -591,7 +601,9 @@ def test_kernel_backtracks_past_the_top_bit_of_its_word():
     engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
     out, _ = engine.run([()], suspend_at=10)
     assert search._STATUS[out[0]] == UNSAT  # a wrapped shift loops
-    assert (engine.nodes, engine.tests, engine.calls, engine.max_pos) == (1, 64, 2, 1)
+    st = engine.st
+    assert (st[search._NODES], st[search._TESTS], st[search._CALLS], st[search._MAX_POS]) == (
+        1, 64, 2, 1)
 
 
 # --- work units in batches: one engine runs a list of units ----------------
@@ -605,10 +617,10 @@ def fresh_unit(grid, prefix):
     """A unit on its own naive engine, as a batch of one."""
     engine = search._Engine(grid, naive=True)
     out, _ = engine.run([prefix])
-    status = search._STATUS[out[0]]
+    status, st = search._STATUS[out[0]], engine.st
     coloring = engine.verified_coloring() if status == SAT else None
-    return (prefix, status, engine.nodes, coloring, engine.tests, engine.calls,
-            engine.tables.frontier_cells(engine.max_pos))
+    return (prefix, status, st[search._NODES], coloring, st[search._TESTS], st[search._CALLS],
+            engine.tables.frontier_cells(st[search._MAX_POS]))
 
 
 def batch(route, grid, prefixes):
@@ -638,11 +650,15 @@ def test_units_left_in_flight_between_calls_keep_their_counters(route, monkeypat
     whole = [batch(route, grid, prefixes) for grid, prefixes in cases]
     monkeypatch.setattr(search, "_INTERRUPT_POLL", 5)
     codes = []
-    for name in ("_batch_c", "_batch_naive"):
-        def counted(self, *args, run=getattr(search._Engine, name)):
-            codes.append(run(self, *args))
+
+    def counting(self, *args, init=search._Engine.__init__, **kwargs):
+        init(self, *args, **kwargs)
+
+        def counted(*batch_args, run=self._batch):
+            codes.append(run(*batch_args))
             return codes[-1]
-        monkeypatch.setattr(search._Engine, name, counted)
+        self._batch = counted
+    monkeypatch.setattr(search._Engine, "__init__", counting)
     assert [batch(route, grid, prefixes) for grid, prefixes in cases] == whole
     assert codes.count(search._LIMIT) > 100  # units stayed in flight across calls
     assert [batch("naive", grid, prefixes) for grid, prefixes in cases] == whole
