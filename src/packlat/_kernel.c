@@ -3,8 +3,10 @@
    A slice runs the tree from the state in st[] until a node count
    reaches `limit` (returns LIMIT right after that assignment), a complete
    coloring is found (SAT), or the cell at position `floor` runs out of
-   colors (UNSAT). Counters and traversal order are those of the naive
-   route, which the tests compare it against.
+   colors (UNSAT). It counts nodes (assignments) and the deepest
+   position reached; search.py derives tests and calls from those and
+   the branch at each end. Counters and traversal order are those of the
+   naive route, which the tests compare it against.
 
    forb[p]   forbidden colors of free cell p, bit c-1 for color c
    nbr       later free cells within distance c of cell p are
@@ -14,7 +16,7 @@
 #include <stdint.h>
 
 enum { LIMIT, SAT, UNSAT, DONE, CORRUPT };
-enum { POS, START, NODES, TESTS, CALLS, MAX_POS, UNIT, LIVE, N_STATE };
+enum { POS, START, NODES, MAX_POS, UNIT, LIVE };
 
 /* Color cell p with c: forbid c on the later cells within distance c. */
 static inline void assign(int32_t k, const int32_t *row, const int32_t *cnt,
@@ -44,30 +46,25 @@ static int slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                  int32_t floor, int64_t limit)
 {
     const uint32_t full = 0xffffffffu >> (32 - k);
-    int64_t pos = st[POS], start = st[START], nodes = st[NODES];
-    int64_t tests = st[TESTS], calls = st[CALLS], max_pos = st[MAX_POS];
+    int64_t pos = st[POS], start = st[START], nodes = st[NODES], max_pos = st[MAX_POS];
     int status;
     for (;;) {
         if (pos == n) { status = SAT; break; }
         uint32_t avail = start > k ? 0 : ~forb[pos] & full & (~0u << (start - 1));
         if (avail) {
             int32_t c = __builtin_ctz(avail) + 1;
-            tests += c - start + 1;
             assign(k, row, cnt, nbr, forb, branch, jtop, journal, pos++, c);
             nodes++;
             start = 1;
             if (pos > max_pos) max_pos = pos;
-            if (pos < n) calls++;
             if (nodes >= limit) { status = LIMIT; break; }
         } else {
-            tests += k - start + 1;
             if (pos == floor) { status = UNSAT; break; }
             unassign(forb, branch, jtop, journal, --pos);
             start = branch[pos] + 1;
         }
     }
-    st[POS] = pos; st[START] = start; st[NODES] = nodes;
-    st[TESTS] = tests; st[CALLS] = calls; st[MAX_POS] = max_pos;
+    st[POS] = pos; st[START] = start; st[NODES] = nodes; st[MAX_POS] = max_pos;
     return status;
 }
 
@@ -75,12 +72,13 @@ static int slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
    decisions each, prefixes[i*d .. i*d + d), in turn from unit st[UNIT]
    on, each slice down to `floor` (d: the unit's subtree; 0: the rest of
    the tree from a resumed branch), with the counters of unit i written
-   to out[5*i ..] as status, nodes, tests, calls, max_pos. Between two
-   units the branch is undone only down to the prefix they share.
+   to out[3*i ..] as status, nodes, max_pos. Between two units the
+   branch is undone only down to the prefix they share.
    Returns DONE after the last unit; SAT right after a SAT unit, its
    coloring in branch[]; CORRUPT with st[POS] at a decision out of range
    or forbidden; and LIMIT once `budget` nodes are spent, the unit in
-   flight kept in st[] (st[LIVE] = 1) for the next call. */
+   flight kept in st[] (st[LIVE] = 1) for the next call and its counters
+   so far in out[], status LIMIT. */
 int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                   const int32_t *nbr, uint32_t *forb, int32_t *branch,
                   int32_t *jtop, int32_t *journal, int64_t *st,
@@ -100,17 +98,15 @@ int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                 }
                 assign(k, row, cnt, nbr, forb, branch, jtop, journal, pos, pre[pos]);
             }
-            st[POS] = d; st[START] = 1; st[NODES] = 0; st[TESTS] = 0;
-            st[CALLS] = d < n; st[MAX_POS] = d; st[LIVE] = 1;
+            st[POS] = d; st[START] = 1; st[NODES] = 0; st[MAX_POS] = d; st[LIVE] = 1;
         }
         int64_t before = st[NODES];
         int status = slice(n, k, row, cnt, nbr, forb, branch, jtop, journal,
                            st, floor, before + budget);
+        int64_t *o = out + 3 * st[UNIT];
+        o[0] = status; o[1] = st[NODES]; o[2] = st[MAX_POS];
         if (status == LIMIT) return LIMIT;
         budget -= st[NODES] - before;
-        int64_t *o = out + 5 * st[UNIT];
-        o[0] = status;
-        for (int j = 1; j < 5; j++) o[j] = st[NODES + j - 1];
         if (status == SAT) { st[UNIT]++; st[LIVE] = 0; return SAT; }
     }
     return DONE;

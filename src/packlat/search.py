@@ -16,6 +16,18 @@ Counters, and what they mean here:
 * ``calls``   arrivals at a non-anchor cell with a fresh color loop
               (the recursion depth events of the classic formulation).
 
+The engine counts only ``nodes`` and the deepest position; ``tests`` and
+``calls`` are derived. A run from decisions B0 (a prefix or a checkpoint's
+branch) to decisions B1 in N nodes, with k colors and n open cells, has
+
+    tests = sum(B1) - sum(B0) + k * (N - len(B1) + len(B0) + [ended UNSAT])
+    calls = N + [len(B1) < n]
+
+([x] is 1 if x holds, else 0), as a node on color c after colors s..c-1
+failed makes c - s + 1 tests, a cell whose colors s..k all fail makes
+k - s + 1, and a call is a run's start or a node that leaves a cell
+open. So a finished UNSAT unit makes k * (N + 1) tests and N + 1 calls.
+
 The fast route is a compiled C kernel (``_kernel.c``, built with the
 local C compiler and loaded through ``ctypes``) that keeps one
 forbidden-color word per free cell and journals the cells each
@@ -347,9 +359,9 @@ def _load_kernel():
 
 _NEVER = float("inf")  # a node count no run reaches
 _LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # the kernel's return codes
-_POS, _START, _NODES, _TESTS, _CALLS, _MAX_POS, _UNIT, _LIVE = range(8)  # its state slots
+_POS, _START, _NODES, _MAX_POS, _UNIT, _LIVE = range(6)  # its state slots
 _STATUS = (INTERRUPTED, SAT, UNSAT)  # a unit's status code; one left in flight reads 0
-_OUT = 5  # a batch's outputs per unit: status code, nodes, tests, calls, max_pos
+_OUT = 3  # a batch's outputs per unit: status code, nodes, max_pos
 
 
 class _Engine:
@@ -372,7 +384,7 @@ class _Engine:
         kernel = None if naive or self.k > _KERNEL_COLORS else _load_kernel()
         if kernel is None:
             self.route = "naive"
-            self.st = [0, 1, 0, 0, 0, 0, 0, 0]
+            self.st = [0, 1, 0, 0, 0, 0]
             self.branch = [0] * n
             self.cell_colors = list(self.tables.anchor_at)
             self._batch = self._batch_naive
@@ -380,7 +392,7 @@ class _Engine:
             import ctypes
 
             self.route = "c"
-            self.st = (ctypes.c_int64 * 8)(0, 1)
+            self.st = (ctypes.c_int64 * 6)(0, 1)
             self.branch = (ctypes.c_int32 * n)()
             csr = self.tables.csr
             self._forb = (ctypes.c_uint32 * n)(*self.tables.init_rows)
@@ -444,8 +456,6 @@ class _Engine:
                 raise error_cls(_bad_decision(st[_POS], prefixes[st[_UNIT]][st[_POS]], self.k))
             if count >= stop_at or (
                     count >= next_poll and interrupted is not None and interrupted()):
-                j = _OUT * st[_UNIT] + 1
-                out[j:j + _OUT - 1] = st[_NODES:_MAX_POS + 1]
                 return out[:], colorings
             if count >= next_poll:
                 next_poll = count + _INTERRUPT_POLL
@@ -490,71 +500,64 @@ class _Engine:
                         return _CORRUPT
                     colors[free[pos]] = branch[pos] = color
                     pos += 1
-                # pos, start, nodes, tests, calls, max_pos, as the kernel places a unit
-                st[_POS:_UNIT] = d, 1, 0, 0, int(d < self.n_free), d
+                # pos, start, nodes, max_pos, as the kernel places a unit
+                st[_POS:_UNIT] = d, 1, 0, d
                 st[_LIVE] = 1
             before = st[_NODES]
             status = self._slice_naive(self.n_free, floor, before + budget)
-            if status is None:
+            j = _OUT * st[_UNIT]
+            out[j:j + _OUT] = status, *st[_NODES:_UNIT]
+            if status == _LIMIT:
                 return _LIMIT
             budget -= st[_NODES] - before
-            j = _OUT * st[_UNIT]
-            out[j:j + _OUT] = _STATUS.index(status), *st[_NODES:_MAX_POS + 1]
             st[_UNIT] += 1
             st[_LIVE] = 0
-            if status == SAT:
+            if status == _SAT:
                 return _SAT
         return _DONE
 
-    def _slice_naive(self, n: int, floor: int, limit: float) -> str | None:
-        """The kernel's slice on the naive route; coloring the first ``n``
-        free cells counts as SAT."""
+    def _slice_naive(self, n: int, floor: int, limit: float) -> int:
+        """The kernel's slice on the naive route, with its return codes;
+        coloring the first ``n`` free cells counts as SAT."""
         k = self.k
         scan = self.tables.naive_scan(n)
         free = self.tables.free
         colors = self.cell_colors
         branch = self.branch
-        pos, start, nodes, tests, calls, max_pos = self.st[_POS:_UNIT]
+        pos, start, nodes, max_pos = self.st[_POS:_UNIT]
 
-        status = None
+        status = _LIMIT
         while True:
             if pos == n:
-                status = SAT
+                status = _SAT
                 break
-            found = 0
-            c = start
             per_color = scan[pos]
-            while c <= k:
-                tests += 1
-                ok = True
+            for c in range(start, k + 1):
                 for q in per_color[c - 1]:
                     if colors[q] == c:
-                        ok = False
                         break
-                if ok:
-                    found = c
+                else:  # no cell within distance c holds c
                     break
-                c += 1
-            if found:
-                colors[free[pos]] = branch[pos] = found
+            else:
+                c = 0
+            if c:
+                colors[free[pos]] = branch[pos] = c
                 nodes += 1
                 pos += 1
                 start = 1
                 if pos > max_pos:
                     max_pos = pos
-                if pos < n:
-                    calls += 1
                 if nodes >= limit:
                     break
+            elif pos == floor:
+                status = _UNSAT
+                break
             else:
-                if pos == floor:
-                    status = UNSAT
-                    break
                 pos -= 1
                 colors[free[pos]] = 0
                 start = branch[pos] + 1
 
-        self.st[_POS:_UNIT] = pos, start, nodes, tests, calls, max_pos
+        self.st[_POS:_UNIT] = pos, start, nodes, max_pos
         return status
 
 
@@ -585,7 +588,7 @@ def _search(grid: GridSpec, naive: bool, prefix=(), floor: int | None = None,
     t0 = time.perf_counter()
     engine = _Engine(grid, naive=naive)
     out, colorings = engine.run([prefix], floor, error_cls, nodes, **events)
-    (unit,) = _unit_outcomes(grid, [prefix], out, colorings, engine.route)
+    (unit,) = _unit_outcomes(grid, [prefix], out, colorings, engine.route, engine.decisions())
     stats = SearchStats(nodes + unit.nodes, unit.tests, unit.calls, unit.max_depth,
                         time.perf_counter() - t0)
     checkpoint = None
@@ -656,7 +659,7 @@ def split(grid: GridSpec, depth: int) -> SplitResult:
     units: list[WorkUnit] = []
     cum: list[int] = []
     emitted, last = 0, ()
-    while engine._slice_naive(depth, 0, _NEVER) == SAT:  # a complete prefix counts as SAT
+    while engine._slice_naive(depth, 0, _NEVER) == _SAT:  # a complete prefix counts as SAT
         prefix = engine.decisions()
         # in DFS order a unit adds the assignments below its longest common
         # prefix with the unit before it to those on some emitted prefix
@@ -730,14 +733,25 @@ def merge_outcomes(
 
 
 def _unit_outcomes(grid: GridSpec, prefixes, out: list[int], colorings: dict,
-                   engine: str) -> list[UnitOutcome]:
-    """The outcomes of a batch from what ``_Engine.run`` returned."""
-    frontier = _tables(grid).frontier_cells
-    return [
-        UnitOutcome(prefix, _STATUS[out[j]], out[j + 1], colorings.get(i),
-                    out[j + 2], out[j + 3], frontier(out[j + 4]), engine)
-        for i, (prefix, j) in enumerate(zip(prefixes, range(0, len(out), _OUT)))
-    ]
+                   engine: str, last=None) -> list[UnitOutcome]:
+    """The outcomes of a batch from what ``_Engine.run`` returned.
+
+    ``tests`` and ``calls`` are derived as the module docstring says. B0 is
+    a unit's prefix; B1 is ``last`` in a batch of one (the engine's
+    decisions at its end), else the SAT coloring's open cells or the prefix.
+    """
+    tables = _tables(grid)
+    k, n, w = grid.max_color, len(tables.free), grid.width
+    outcomes = []
+    for i, (b0, j) in enumerate(zip(prefixes, range(0, len(out), _OUT))):
+        status, nodes, coloring = _STATUS[out[j]], out[j + 1], colorings.get(i)
+        b1 = last if last is not None else b0 if coloring is None else [
+            coloring[cell // w][cell % w] for cell in tables.free]
+        tests = sum(b1) - sum(b0) + k * (nodes - len(b1) + len(b0) + (status == UNSAT))
+        calls = nodes + (len(b1) < n)
+        outcomes.append(UnitOutcome(b0, status, nodes, coloring, tests, calls,
+                                    tables.frontier_cells(out[j + 2]), engine))
+    return outcomes
 
 
 def _unit_worker(task: tuple[GridSpec, list[tuple[int, ...]]]) -> tuple:
@@ -771,7 +785,8 @@ def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None,
     """Split the search and run every unit to completion across worker processes.
 
     The merged node count reproduces the sequential one exactly,
-    independent of scheduling. ``workers`` defaults to one per CPU. Each
+    independent of scheduling. ``workers`` defaults to, and is capped at,
+    the CPUs this process may run on, and at the number of units. Each
     task is a run of contiguous units that one worker searches as one
     batch. ``on_progress(units_done, units_total, unit_nodes)`` is invoked
     as tasks finish, each time the unit nodes pass a multiple of
@@ -789,9 +804,8 @@ def solve_parallel(grid: GridSpec, depth: int, workers: int | None = None,
     t0 = time.perf_counter()
     split_result = split(grid, depth)
     units = split_result.units
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(units) or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(cpus if workers is None else workers, cpus, len(units) or 1))
     size = -(-len(units) // (4 * workers)) or 1  # the chunks of Pool.map
     tasks = [(grid, [u.prefix for u in units[i:i + size]])
              for i in range(0, len(units), size)]

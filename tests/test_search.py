@@ -3,6 +3,8 @@
 import importlib.util
 import itertools
 import json
+import multiprocessing
+import os
 import random
 import re
 import shutil
@@ -381,6 +383,27 @@ def test_parallel_unit_sum_is_schedule_independent():
     assert len(totals) == 1
 
 
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    asked = []
+
+    class NoPool(Exception):
+        pass
+
+    class Context:
+        def Pool(self, processes, **kwargs):  # records the size and starts nothing
+            asked.append(processes)
+            raise NoPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: Context())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # 125 units at depth 3; uncapped, this asked Pool for 100,000 processes
+    for workers in (100_000, None):
+        with pytest.raises(NoPool):
+            solve_parallel(ANCHORED_9X7, 3, workers=workers)
+    assert asked == [2, 2]
+
+
 def test_emitted_prefix_count_equals_the_set_of_emitted_prefixes():
     anchored = GridSpec(4, 4, 5, anchors=((Position(2, 2), 3),))
     cases = [(GridSpec(3, 3, 4), d) for d in (1, 2, 3, 9)]
@@ -456,6 +479,35 @@ def test_kernel_chains_match_python_route_at_every_hop(stride):
         ), grid
         assert (hops, outcome(final)) == (ref_hops, outcome(ref_final)), grid
         assert rolling("c", grid, stride) == rolling("naive", grid, stride), grid
+
+
+def segments(route, grid, cut):
+    """Status and counters of a run suspended at ``cut`` nodes, then of its resume."""
+    first = on_route(route, solve, grid, suspend_at=cut)
+    second = on_route(route, resume, first.checkpoint)
+    return [(r.status, tuple(r.stats.counters().values())) for r in (first, second)]
+
+
+# (nodes, tests, calls, max_depth) where a run ends SAT or suspended, as the
+# engine counted them when it still kept tests and calls itself; a derivation
+# off by one at either end of a run moves one of them
+@pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
+def test_counters_at_sat_and_suspended_ends_keep_their_pins(route):
+    grid = GridSpec(4, 4, 5)
+    whole = on_route(route, solve, grid)
+    assert (whole.status, tuple(whole.stats.counters().values())) == (SAT, (16, 32, 16, 16))
+    assert segments(route, grid, 8) == [(INTERRUPTED, (8, 16, 9, 8)), (SAT, (16, 16, 8, 16))]
+    # suspended on the last cell: the resume finds the coloring complete
+    assert segments(route, grid, 16) == [(INTERRUPTED, (16, 32, 16, 16)), (SAT, (16, 0, 0, 16))]
+
+
+@needs_cc
+def test_anchored_9x7_suspended_ends_keep_their_pins():
+    assert segments("c", ANCHORED_9X7, 97) == [
+        (INTERRUPTED, (97, 536, 98, 15)), (UNSAT, (1_378_337, 8_269_492, 1_378_241, 30))]
+    # suspended on the last node: the resume only exhausts what is left above it
+    assert segments("c", ANCHORED_9X7, 1_378_337) == [
+        (INTERRUPTED, (1_378_337, 8_270_007, 1_378_338, 30)), (UNSAT, (1_378_337, 21, 1, 6))]
 
 
 @needs_cc
@@ -599,11 +651,10 @@ def test_kernel_backtracks_past_the_top_bit_of_its_word():
     engine = search._Engine(GridSpec(1, 2, search._KERNEL_COLORS))
     assert engine.route == "c"
     engine._forb[:] = [0x7FFFFFFF, 0xFFFFFFFF]
-    out, _ = engine.run([()], suspend_at=10)
-    assert search._STATUS[out[0]] == UNSAT  # a wrapped shift loops
-    st = engine.st
-    assert (st[search._NODES], st[search._TESTS], st[search._CALLS], st[search._MAX_POS]) == (
-        1, 64, 2, 1)
+    (unit,) = search._unit_outcomes(engine.grid, [()], *engine.run([()], suspend_at=10),
+                                    engine.route, engine.decisions())
+    assert unit.status == UNSAT  # a wrapped shift loops
+    assert (unit.nodes, unit.tests, unit.calls, unit.max_depth) == (1, 64, 2, 1)
 
 
 # --- work units in batches: one engine runs a list of units ----------------
@@ -616,11 +667,9 @@ BATCH_TREES = [(GridSpec(4, 4, 5), 3), (GridSpec(2, 2, 3), 4), (GridSpec(5, 4, 5
 def fresh_unit(grid, prefix):
     """A unit on its own naive engine, as a batch of one."""
     engine = search._Engine(grid, naive=True)
-    out, _ = engine.run([prefix])
-    status, st = search._STATUS[out[0]], engine.st
-    coloring = engine.verified_coloring() if status == SAT else None
-    return (prefix, status, st[search._NODES], coloring, st[search._TESTS], st[search._CALLS],
-            engine.tables.frontier_cells(st[search._MAX_POS]))
+    (o,) = search._unit_outcomes(grid, [prefix], *engine.run([prefix]), "naive",
+                                 engine.decisions())
+    return (o.prefix, o.status, o.nodes, o.coloring, o.tests, o.calls, o.max_depth)
 
 
 def batch(route, grid, prefixes):
