@@ -4,7 +4,10 @@
 The headline instance is the 15x9 window with budget 11 and color 9
 anchored at (5,5): exhausting it certifies that no packing 11-coloring of
 the window extends the anchor, which lifts the lattice lower bound to 12
-under the usual occurrence premise. The original exhaustion of this tree
+under the usual occurrence premise. The recipe scans that window column
+by column, as the 9x15 grid: the transpose keeps every distance and maps
+(5,5) to itself. Scratch estimates put this tree at 1.3e13-1.9e13 nodes,
+and the row-major one near 1e19. The original exhaustion of this tree
 was reported at 43,112,312,093,324 checked configurations and months of
 single-core time, so this script does NOT run it by default; it prints
 the launch recipe and, for a taste of the shape, runs the 9x7 scaled
@@ -20,9 +23,10 @@ import sys
 from packlat import GridSpec, Position, solve
 
 RECIPE = """\
-Launch recipe (resumable, with progress lines every 1e8 nodes):
+Launch recipe for the 15x9 window scanned column by column, as 9 columns
+by 15 rows (resumable, with progress lines every 1e8 nodes):
 
-    packlat solve --width 15 --height 9 --k 11 --anchor 5,5,9 \\
+    packlat solve --width 9 --height 15 --k 11 --anchor 5,5,9 \\
         --checkpoint-every 1000000000 --checkpoint-file headline.checkpoint.json \\
         --witness-file headline-witness.txt
 
@@ -41,7 +45,7 @@ behind PACKLAT_LONG_RUN=1.
 def main() -> None:
     print(RECIPE)
     if "--really" in sys.argv:
-        grid = GridSpec(15, 9, 11, anchors=((Position(5, 5), 9),))
+        grid = GridSpec(9, 15, 11, anchors=((Position(5, 5), 9),))  # 15x9, by columns
         result = solve(
             grid,
             progress_every=10**8,

@@ -6,7 +6,8 @@
    colors (UNSAT). It counts nodes (assignments) and the deepest
    position reached; search.py derives tests and calls from those and
    the branch at each end. Counters and traversal order are those of the
-   naive route, which the tests compare it against.
+   naive route, which the tests compare it against. The kernel trusts
+   its input: search.py checks every decision read from a file first.
 
    forb[p]   forbidden colors of free cell p, bit c-1 for color c
    nbr       later free cells within distance c of cell p are
@@ -15,7 +16,7 @@
              journal[jtop[p] .. jtop[p+1]) */
 #include <stdint.h>
 
-enum { LIMIT, SAT, UNSAT, DONE, CORRUPT };
+enum { LIMIT, SAT, UNSAT, DONE };
 enum { POS, START, NODES, MAX_POS, UNIT, LIVE };
 
 /* Color cell p with c: forbid c on the later cells within distance c. */
@@ -73,12 +74,12 @@ static int slice(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
    on, each slice down to `floor` (d: the unit's subtree; 0: the rest of
    the tree from a resumed branch), with the counters of unit i written
    to out[3*i ..] as status, nodes, max_pos. Between two units the
-   branch is undone only down to the prefix they share.
+   branch is undone only down to the prefix they share. Prefixes arrive
+   checked: d <= n, each decision a color in 1..k allowed where it lands.
    Returns DONE after the last unit; SAT right after a SAT unit, its
-   coloring in branch[]; CORRUPT with st[POS] at a decision out of range
-   or forbidden; and LIMIT once `budget` nodes are spent, the unit in
-   flight kept in st[] (st[LIVE] = 1) for the next call and its counters
-   so far in out[], status LIMIT. */
+   coloring in branch[]; and LIMIT once `budget` nodes are spent, the
+   unit in flight kept in st[] (st[LIVE] = 1) for the next call and its
+   counters so far in out[], status LIMIT. */
 int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
                   const int32_t *nbr, uint32_t *forb, int32_t *branch,
                   int32_t *jtop, int32_t *journal, int64_t *st,
@@ -91,13 +92,8 @@ int packlat_batch(int32_t n, int32_t k, const int32_t *row, const int32_t *cnt,
             int64_t pos = st[POS], shared = 0;
             while (shared < pos && shared < d && branch[shared] == pre[shared]) shared++;
             while (pos > shared) unassign(forb, branch, jtop, journal, --pos);
-            for (; pos < d; pos++) {
-                if (pre[pos] < 1 || pre[pos] > k || forb[pos] >> (pre[pos] - 1) & 1) {
-                    st[POS] = pos;
-                    return CORRUPT;
-                }
+            for (; pos < d; pos++)
                 assign(k, row, cnt, nbr, forb, branch, jtop, journal, pos, pre[pos]);
-            }
             st[POS] = d; st[START] = 1; st[NODES] = 0; st[MAX_POS] = d; st[LIVE] = 1;
         }
         int64_t before = st[NODES];

@@ -358,7 +358,7 @@ def _load_kernel():
 
 
 _NEVER = float("inf")  # a node count no run reaches
-_LIMIT, _SAT, _UNSAT, _DONE, _CORRUPT = range(5)  # the kernel's return codes
+_LIMIT, _SAT, _UNSAT, _DONE = range(4)  # the kernel's return codes
 _POS, _START, _NODES, _MAX_POS, _UNIT, _LIVE = range(6)  # its state slots
 _STATUS = (INTERRUPTED, SAT, UNSAT)  # a unit's status code; one left in flight reads 0
 _OUT = 3  # a batch's outputs per unit: status code, nodes, max_pos
@@ -401,7 +401,7 @@ class _Engine:
             self._batch = partial(kernel.packlat_batch, n, self.k, *csr, self._forb, self.branch,
                                   self._jtop, journal, self.st)
 
-    def run(self, prefixes, floor: int | None = None, error_cls=CorruptUnit, nodes: int = 0,
+    def run(self, prefixes, floor: int | None = None, nodes: int = 0,
             suspend_at: int | None = None, checkpoint_every: int | None = None,
             on_checkpoint=None, progress_every: int | None = None, on_progress=None,
             interrupted=None) -> tuple[list[int], dict[int, list[list[int]]]]:
@@ -409,9 +409,10 @@ class _Engine:
         prefix length). The prefixes have one length and come in DFS order.
 
         Returns plain data, which ``_unit_outcomes`` decodes: ``_OUT``
-        numbers per unit and the colorings of the SAT units by index. A
-        decision out of range or inadmissible raises ``error_cls``. The
-        events read ``nodes + st[_NODES]``, the count of the unit in flight:
+        numbers per unit and the colorings of the SAT units by index. It
+        places the prefixes unchecked: only ``_search``'s checked decisions
+        and ``split``'s prefixes may reach it. The events read
+        ``nodes + st[_NODES]``, the count of the unit in flight:
 
         * ``suspend_at``: return once the count reaches this many nodes.
         * ``checkpoint_every`` / ``on_checkpoint``: call ``on_checkpoint``
@@ -426,8 +427,6 @@ class _Engine:
         Python every ``_INTERRUPT_POLL`` nodes, so that a Ctrl-C lands.
         """
         d = len(prefixes[0]) if prefixes else 0
-        if d > self.n_free:
-            raise error_cls(f"{d} decisions exceed the {self.n_free} open cells")
         m, st = len(prefixes), self.st
         units, out = prefixes, [0] * (_OUT * m)
         if self.route == "c":
@@ -452,8 +451,6 @@ class _Engine:
             if code == _SAT:
                 colorings[st[_UNIT] - 1] = self.verified_coloring()
                 continue
-            if code == _CORRUPT:
-                raise error_cls(_bad_decision(st[_POS], prefixes[st[_UNIT]][st[_POS]], self.k))
             if count >= stop_at or (
                     count >= next_poll and interrupted is not None and interrupted()):
                 return out[:], colorings
@@ -492,12 +489,7 @@ class _Engine:
                 while pos > shared:
                     pos -= 1
                     colors[free[pos]] = 0
-                scan = self.tables.naive_scan(d)
                 for color in prefix[shared:]:
-                    if not 1 <= color <= self.k or any(
-                            colors[q] == color for q in scan[pos][color - 1]):
-                        st[_POS] = pos
-                        return _CORRUPT
                     colors[free[pos]] = branch[pos] = color
                     pos += 1
                 # pos, start, nodes, max_pos, as the kernel places a unit
@@ -567,27 +559,36 @@ def _int32_array(prefixes):
     import ctypes
     import itertools
 
-    try:
-        flat = array.array("i", itertools.chain.from_iterable(prefixes))
-    except OverflowError:  # such a color is out of range all the same, as is 0
-        flat = array.array("i", (c if -2**31 <= c < 2**31 else 0 for p in prefixes for c in p))
+    flat = array.array("i", itertools.chain.from_iterable(prefixes))
     return (ctypes.c_int32 * len(flat)).from_buffer(flat)
 
 
-def _bad_decision(pos: int, color: int, k: int) -> str:
-    """Why decision ``pos`` of a replayed branch or prefix cannot be placed."""
-    if not 1 <= color <= k:
-        return f"decision color {color} outside 1..{k}"
-    return f"decision {pos} (color {color}) is inadmissible"
+def _check_decisions(grid: GridSpec, decisions, error_cls) -> None:
+    """Raise ``error_cls`` unless ``decisions``, a unit's prefix or a
+    checkpoint's branch, can be placed from the root: each a color in
+    1..k that the anchors and the decisions before it allow. It replays
+    them on the naive route's rows; the engines place them unchecked."""
+    tables = _tables(grid)
+    free, k = tables.free, grid.max_color
+    if len(decisions) > len(free):
+        raise error_cls(f"{len(decisions)} decisions exceed the {len(free)} open cells")
+    colors = list(tables.anchor_at)
+    for pos, (color, rows) in enumerate(zip(decisions, tables.naive_scan(len(decisions)))):
+        if not 1 <= color <= k:
+            raise error_cls(f"decision color {color} outside 1..{k}")
+        if any(colors[q] == color for q in rows[color - 1]):
+            raise error_cls(f"decision {pos} (color {color}) is inadmissible")
+        colors[free[pos]] = color
 
 
 def _search(grid: GridSpec, naive: bool, prefix=(), floor: int | None = None,
             error_cls=CorruptUnit, nodes: int = 0, /, **events) -> SolveResult:
-    """Search below ``prefix`` on a fresh engine, counting on from ``nodes``;
-    only ``_Engine.run``'s events can come by keyword."""
+    """Check ``prefix`` and search below it on a fresh engine, counting on
+    from ``nodes``; only ``_Engine.run``'s events can come by keyword."""
     t0 = time.perf_counter()
+    _check_decisions(grid, prefix, error_cls)
     engine = _Engine(grid, naive=naive)
-    out, colorings = engine.run([prefix], floor, error_cls, nodes, **events)
+    out, colorings = engine.run([prefix], floor, nodes, **events)
     (unit,) = _unit_outcomes(grid, [prefix], out, colorings, engine.route, engine.decisions())
     stats = SearchStats(nodes + unit.nodes, unit.tests, unit.calls, unit.max_depth,
                         time.perf_counter() - t0)

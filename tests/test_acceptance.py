@@ -212,18 +212,20 @@ def test_criterion_scaled_headline_run():
 def test_criterion_long_run_15x9_lower_bound():
     """The headline computation: 15x9, budget 11, color 9 anchored at (5,5).
 
-    Records all three counters so the result can be compared against the
-    published figure of 43112312093324 checked configurations, whose
-    counting unit is not pinned down; no time bound.
+    The window is scanned column by column, as the 9x15 grid: the transpose
+    keeps every distance and maps (5,5) to itself. Records all three
+    counters so the result can be compared against the published figure of
+    43112312093324 checked configurations, whose counting unit is not
+    pinned down; no time bound.
     """
-    grid = GridSpec(15, 9, 11, anchors=((Position(5, 5), 9),))
+    grid = GridSpec(9, 15, 11, anchors=((Position(5, 5), 9),))
     result = solve(grid, progress_every=10**8,
                    on_progress=lambda nodes, frontier: print(
                        f"[long-run] nodes={nodes:,} frontier={frontier}",
                        flush=True))
     assert result.status == UNSAT
     print(json.dumps({
-        "window": "15x9", "k": 11, "anchor": "9@(5,5)",
+        "window": "15x9", "scan": "column by column (9x15)", "k": 11, "anchor": "9@(5,5)",
         "nodes": result.stats.nodes,
         "tests": result.stats.tests,
         "calls": result.stats.calls,

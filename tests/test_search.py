@@ -8,6 +8,8 @@ import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -511,6 +513,18 @@ def test_anchored_9x7_suspended_ends_keep_their_pins():
 
 
 @needs_cc
+def test_the_unanchored_6x6_exhaustion_certifies_eight_colors(capsys):
+    # the first rung of the chain that discharges the occurrence premise
+    assert main(["solve", "--width", "6", "--height", "6", "--k", "7"]) == 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["volatile"]["engine"] == "c"
+    assert (report["status"], report["stats"]) == (UNSAT, {
+        "nodes": 4_133_793, "tests": 28_936_558, "calls": 4_133_794, "max_depth": 34})
+    assert report["lower_bound"]["claim"].endswith(">= 8")
+    assert report["lower_bound"]["assumption"] is None
+
+
+@needs_cc
 def test_kernel_chain_on_anchored_9x7_matches_python_route():
     stride = 65_536
     hops, final = chain("c", ANCHORED_9X7, stride)
@@ -638,6 +652,69 @@ def test_truncated_cached_kernel_falls_back_to_python(kernel_cache, monkeypatch,
     assert list(kernel_cache.iterdir()) == []
 
 
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+# runs in a child process: the sanitized kernel is built into the cache in
+# argv[1] and loaded there, and any undefined behaviour aborts the child
+UBSAN_CHILD = f"""
+import json, sys
+from packlat import search
+from packlat.grid import GridSpec, Position
+search._KERNEL_CC += {UBSAN!r}
+search._KERNEL_CACHE = sys.argv[1]
+
+def counters(result):
+    assert result.engine == "c", result.engine
+    return [result.status, *result.stats.counters().values()]
+
+grid = GridSpec(9, 7, 6, anchors=((Position(5, 4), 4),))
+first = search.solve(grid, suspend_at=97)
+engine = search._Engine(grid)
+prefixes = [u.prefix for u in search.split(grid, 3).units]
+out, _ = engine.run(prefixes)
+print(json.dumps({{
+    "9x7": counters(search.solve(grid)),
+    "segments": [counters(first), counters(search.resume(first.checkpoint))],
+    "batch": [engine.route, len(prefixes), sum(out[1::3])],
+    "4x4": counters(search.solve(GridSpec(4, 4, 5))),
+    "3x3": counters(search.solve(GridSpec(3, 3, 32))),
+}}))
+"""
+
+
+def ubsan_builds(tmp_path):
+    source = tmp_path / "trivial.c"
+    source.write_text("int trivial(int a) { return a + 1; }\n")
+    return subprocess.run([*search._KERNEL_CC, *UBSAN, "-o", str(tmp_path / "trivial.so"),
+                           str(source)], capture_output=True).returncode == 0
+
+
+@needs_cc
+def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # the kernel places every prefix unchecked, so its trusted paths must stay
+    # in range: the pinned trees, a suspend and resume, a batch, the SAT end
+    # and the full 32-bit word, with every runtime error fatal
+    if not ubsan_builds(tmp_path):
+        pytest.skip("cc cannot build a library with -fsanitize=undefined")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(search.__file__).resolve().parent.parent), env.get("PYTHONPATH"),
+    ]))
+    child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(tmp_path / "cache")],
+                           capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert (child.returncode, "runtime error" in child.stderr) == (0, False), child.stderr
+    got = json.loads(child.stdout)
+    cut = split(ANCHORED_9X7, 3)
+    assert got == {
+        "9x7": [UNSAT, *PINNED_9X7.values()],
+        "segments": [[INTERRUPTED, 97, 536, 98, 15], [UNSAT, 1_378_337, 8_269_492, 1_378_241, 30]],
+        "batch": ["c", 125, PINNED_9X7["nodes"] - cut.emitted_prefix_assignments
+                  - cut.prefix_overhead],
+        "4x4": [SAT, 16, 32, 16, 16],
+        "3x3": [SAT, *solve(GridSpec(3, 3, 32), naive=True).stats.counters().values()],
+    }
+
+
 def test_colors_wider_than_the_kernel_word_run_on_python():
     wide = solve(GridSpec(2, 2, search._KERNEL_COLORS + 1))
     assert wide.engine == "naive"
@@ -715,14 +792,14 @@ def test_units_left_in_flight_between_calls_keep_their_counters(route, monkeypat
 
 @pytest.mark.parametrize("route", [pytest.param("c", marks=needs_cc), "naive"])
 def test_a_corrupt_prefix_late_in_a_batch_is_rejected(route):
+    # decisions from a unit or checkpoint file are checked before any engine
+    # places them, with one message whichever route would run them
     grid = GridSpec(3, 3, 4)
-    prefixes = [u.prefix for u in split(grid, 3).units]
     for bad, message in [((1, 1, 2), "decision 1 (color 1) is inadmissible"),
                          ((2, 5, 1), "decision color 5 outside 1..4"),
                          ((2, 2**40, 1), f"decision color {2**40} outside 1..4"),
                          ((2, 1, 2), "decision 2 (color 2) is inadmissible")]:
-        engine = search._Engine(grid, naive=route == "naive")
-        with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
-            engine.run(prefixes[:7] + [bad] + prefixes[7:])
         with pytest.raises(CorruptUnit, match=rf"^{re.escape(message)}$"):
             solve_unit(WorkUnit(grid, bad), naive=route == "naive")
+        with pytest.raises(CorruptCheckpoint, match=rf"^{re.escape(message)}$"):
+            resume(Checkpoint(grid, bad, 0), naive=route == "naive")
